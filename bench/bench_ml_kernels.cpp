@@ -22,7 +22,6 @@
 #include "ml/conv.hpp"
 #include "ml/driving_model.hpp"
 #include "ml/gemm.hpp"
-#include "ml/plan.hpp"
 #include "ml/layers.hpp"
 #include "ml/loss.hpp"
 #include "ml/optimizer.hpp"
@@ -416,70 +415,6 @@ util::Json bench_end_to_end(bool smoke) {
   return out;
 }
 
-// --- interpreted vs compiled forward --------------------------------------
-
-util::Json bench_compiled_plan(bool smoke) {
-  // Steady-state predict_batch at the serving batch size: the interpreted
-  // per-layer walk (tensor allocation per layer per batch) vs the compiled
-  // arena program (zero allocation, fused epilogues). Same model object,
-  // bitwise-identical outputs (ctest -L plan); only wall time may differ.
-  const std::size_t batch = 32;
-  const int reps = smoke ? 3 : 200;
-  util::Json out = util::Json::array();
-  for (const ml::ModelType type : ml::all_model_types()) {
-    ml::ModelConfig cfg;
-    const auto model = ml::make_model(type, cfg);
-    util::Rng rng(17);
-    std::vector<ml::Sample> samples;
-    samples.reserve(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      ml::Sample s;
-      for (std::size_t f = 0; f < cfg.seq_len; ++f) {
-        camera::Image img(cfg.img_w, cfg.img_h);
-        for (float& px : img.pixels()) {
-          px = static_cast<float>(rng.uniform(0.0, 1.0));
-        }
-        s.frames.push_back(std::move(img));
-      }
-      for (std::size_t h = 0; h < cfg.history_len; ++h) {
-        s.history.push_back(static_cast<float>(rng.uniform(-1.0, 1.0)));
-        s.history.push_back(static_cast<float>(rng.uniform(0.0, 1.0)));
-      }
-      samples.push_back(std::move(s));
-    }
-    std::vector<ml::Prediction> pred(batch);
-
-    auto time_path = [&] {
-      model->predict_batch(samples.data(), batch, pred.data());  // warm-up
-      double best = 1e30;
-      for (int r = 0; r < reps; ++r) {
-        const double t0 = now_seconds();
-        model->predict_batch(samples.data(), batch, pred.data());
-        best = std::min(best, now_seconds() - t0);
-      }
-      return best;
-    };
-
-    model->detach_plan();
-    const double interp_s = time_path();
-    model->attach_plan(batch);
-    const double plan_s = time_path();
-    model->detach_plan();
-
-    util::Json row = util::Json::object();
-    row.set("model", std::string(ml::to_string(type)));
-    row.set("batch", batch);
-    row.set("interpreted_ms", interp_s * 1e3);
-    row.set("compiled_ms", plan_s * 1e3);
-    row.set("speedup", interp_s / plan_s);
-    out.push_back(std::move(row));
-    std::cout << "  plan " << ml::to_string(type) << ": interpreted "
-              << interp_s * 1e3 << " ms, compiled " << plan_s * 1e3
-              << " ms, speedup " << interp_s / plan_s << "x\n";
-  }
-  return out;
-}
-
 int run(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_ml.json";
@@ -508,8 +443,6 @@ int run(int argc, char** argv) {
   doc.set("conv_naive_vs_gemm", bench_conv_speedup(smoke));
   std::cout << "end-to-end training:\n";
   doc.set("fit_end_to_end", bench_end_to_end(smoke));
-  std::cout << "interpreted vs compiled forward:\n";
-  doc.set("compiled_plan", bench_compiled_plan(smoke));
 
   const ml::KernelCounters kc = ml::kernel_counters();
   util::Json counters = util::Json::object();

@@ -80,16 +80,6 @@ double training_time_s(const DeviceSpec& spec, const TrainingWorkload& load,
   return compute_s + overhead_s;
 }
 
-double inference_latency_s(const DeviceSpec& spec,
-                           std::uint64_t model_flops) {
-  return inference_latency_s(spec, model_flops, 1);
-}
-
-double inference_latency_s(const DeviceSpec& spec, std::uint64_t model_flops,
-                           std::size_t batch) {
-  return inference_latency_s(spec, model_flops, batch, Precision::Fp32);
-}
-
 double inference_latency_s(const DeviceSpec& spec, std::uint64_t model_flops,
                            std::size_t batch, Precision precision) {
   if (batch == 0) throw std::invalid_argument("gpu: inference batch 0");

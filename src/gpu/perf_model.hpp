@@ -75,24 +75,16 @@ double training_time_s(const DeviceSpec& spec, const TrainingWorkload& load,
 /// Multi-GPU scaling efficiency per added device.
 double scaling_efficiency(Interconnect link);
 
-/// Simulated single-sample inference latency (seconds) for a model with
-/// the given forward FLOPs on this device. Equivalent to the batched
-/// variant at batch = 1.
-double inference_latency_s(const DeviceSpec& spec, std::uint64_t model_flops);
-
-/// Batched inference latency: one per-call overhead amortized across the
-/// whole batch, compute scaled by the batch size. This is the cost model
-/// the fleet serving tier and the dynamic batcher are sized against; the
-/// single-sample signature above is its batch-of-1 wrapper. Both forward
-/// to the precision-aware variant at Fp32 (bitwise-identically).
+/// Simulated inference latency (seconds) of `batch` samples of a model
+/// with the given forward FLOPs on this device: one per-call launch
+/// overhead amortized across the whole batch, compute scaled by the batch
+/// size. This is the cost model the fleet serving tier and the dynamic
+/// batcher are sized against. Int8 workloads divide the compute term by
+/// the device's int8_speedup, so an edge tier running the quantized path
+/// is not priced as if it did fp32 math; the launch overhead is
+/// precision-independent. Throws std::invalid_argument on batch 0.
 double inference_latency_s(const DeviceSpec& spec, std::uint64_t model_flops,
-                           std::size_t batch);
-
-/// Precision-aware batched inference latency: int8 workloads divide the
-/// compute term by the device's int8_speedup, so an edge tier running the
-/// quantized path is no longer priced as if it did fp32 math. The launch
-/// overhead is precision-independent.
-double inference_latency_s(const DeviceSpec& spec, std::uint64_t model_flops,
-                           std::size_t batch, Precision precision);
+                           std::size_t batch = 1,
+                           Precision precision = Precision::Fp32);
 
 }  // namespace autolearn::gpu

@@ -48,150 +48,36 @@ void DrivingModel::predict_batch(const Sample* obs, std::size_t n,
 
 namespace {
 
-std::vector<const Sample*> batch_ptrs(const Sample* obs, std::size_t n) {
-  std::vector<const Sample*> ptrs;
-  ptrs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) ptrs.push_back(obs + i);
-  return ptrs;
-}
+/// Rows a plan compiles for when no attach_plan set a cap: the batch that
+/// steering_mae and the fleet benches use.
+constexpr std::size_t kDefaultPlanCap = 32;
 
-/// Copies the last frame of each sample into an [N, 1, H, W] tensor.
-Tensor frames_tensor(const std::vector<const Sample*>& batch,
-                     std::size_t img_h, std::size_t img_w) {
-  Tensor x({batch.size(), 1, img_h, img_w});
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Sample& s = *batch[i];
-    if (s.frames.empty()) throw std::invalid_argument("sample: no frames");
-    const camera::Image& img = s.frames.back();
+/// Copies the last `t` frames of `s`, oldest first, to `dst` as t
+/// contiguous H*W planes. In a batch, sample i's frame j lands at
+/// (i*t + j)*h*w, which is the layout of every zoo input: the 2-D
+/// [N, 1, H, W] (t = 1), the rnn's time-folded [N*T, 1, H, W] and the 3d
+/// stack [N, 1, T, H, W]. So this one checked stager fills both the
+/// training tensors and the plan arena.
+void stage_sample(const Sample& s, std::size_t t, std::size_t img_h,
+                  std::size_t img_w, float* dst) {
+  if (s.frames.size() < t) {
+    throw std::invalid_argument("sample: too few frames");
+  }
+  for (std::size_t j = 0; j < t; ++j) {
+    const camera::Image& img = s.frames[s.frames.size() - t + j];
     if (img.height() != img_h || img.width() != img_w) {
       throw std::invalid_argument("sample: frame size mismatch");
     }
     std::copy(img.pixels().begin(), img.pixels().end(),
-              x.data() + i * img_h * img_w);
-  }
-  return x;
-}
-
-/// Copies the last `t` frames of each sample into [N*T, 1, H, W]
-/// (time folded into the batch for a shared encoder) keeping order
-/// oldest..newest per sample.
-Tensor frames_tensor_seq(const std::vector<const Sample*>& batch,
-                         std::size_t t, std::size_t img_h, std::size_t img_w) {
-  Tensor x({batch.size() * t, 1, img_h, img_w});
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Sample& s = *batch[i];
-    if (s.frames.size() < t) {
-      throw std::invalid_argument("sample: too few frames for sequence");
-    }
-    for (std::size_t j = 0; j < t; ++j) {
-      const camera::Image& img = s.frames[s.frames.size() - t + j];
-      if (img.height() != img_h || img.width() != img_w) {
-        throw std::invalid_argument("sample: frame size mismatch");
-      }
-      std::copy(img.pixels().begin(), img.pixels().end(),
-                x.data() + (i * t + j) * img_h * img_w);
-    }
-  }
-  return x;
-}
-
-/// Stacks the last `t` frames as the depth axis: [N, 1, T, H, W].
-Tensor frames_tensor_3d(const std::vector<const Sample*>& batch,
-                        std::size_t t, std::size_t img_h, std::size_t img_w) {
-  Tensor x({batch.size(), 1, t, img_h, img_w});
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Sample& s = *batch[i];
-    if (s.frames.size() < t) {
-      throw std::invalid_argument("sample: too few frames for 3d stack");
-    }
-    for (std::size_t j = 0; j < t; ++j) {
-      const camera::Image& img = s.frames[s.frames.size() - t + j];
-      std::copy(img.pixels().begin(), img.pixels().end(),
-                x.data() + (i * t + j) * img_h * img_w);
-    }
-  }
-  return x;
-}
-
-// Raw-pointer staging twins of the frames_tensor helpers above: identical
-// validation and copy order, but writing into a CompiledNet's arena input
-// slot instead of a freshly allocated Tensor. The plan hot path must not
-// allocate, and the bitwise oracle requires identical exception behavior.
-
-void stage_frames(const Sample* obs, std::size_t n, std::size_t img_h,
-                  std::size_t img_w, float* x) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Sample& s = obs[i];
-    if (s.frames.empty()) throw std::invalid_argument("sample: no frames");
-    const camera::Image& img = s.frames.back();
-    if (img.height() != img_h || img.width() != img_w) {
-      throw std::invalid_argument("sample: frame size mismatch");
-    }
-    std::copy(img.pixels().begin(), img.pixels().end(),
-              x + i * img_h * img_w);
+              dst + j * img_h * img_w);
   }
 }
 
-void stage_frames_seq(const Sample* obs, std::size_t n, std::size_t t,
-                      std::size_t img_h, std::size_t img_w, float* x) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Sample& s = obs[i];
-    if (s.frames.size() < t) {
-      throw std::invalid_argument("sample: too few frames for sequence");
-    }
-    for (std::size_t j = 0; j < t; ++j) {
-      const camera::Image& img = s.frames[s.frames.size() - t + j];
-      if (img.height() != img_h || img.width() != img_w) {
-        throw std::invalid_argument("sample: frame size mismatch");
-      }
-      std::copy(img.pixels().begin(), img.pixels().end(),
-                x + (i * t + j) * img_h * img_w);
-    }
-  }
-}
-
-void stage_frames_3d(const Sample* obs, std::size_t n, std::size_t t,
-                     std::size_t img_h, std::size_t img_w, float* x) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Sample& s = obs[i];
-    if (s.frames.size() < t) {
-      throw std::invalid_argument("sample: too few frames for 3d stack");
-    }
-    for (std::size_t j = 0; j < t; ++j) {
-      const camera::Image& img = s.frames[s.frames.size() - t + j];
-      std::copy(img.pixels().begin(), img.pixels().end(),
-                x + (i * t + j) * img_h * img_w);
-    }
-  }
-}
-
-/// Standard [steering, throttle] regression decode, identical clamps to
-/// the interpreted paths.
+/// Standard [steering, throttle] regression decode.
 void decode_regression(const float* y, std::size_t n, Prediction* out) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = Prediction{std::clamp<double>(y[i * 2 + 0], -1, 1),
                         std::clamp<double>(y[i * 2 + 1], 0, 1)};
-  }
-}
-
-/// softmax_row (ml/loss.cpp) replicated onto preallocated scratch: float
-/// max, float exp values, double denominator accumulation, float(v/denom)
-/// — the exact same arithmetic, so the argmax picks the same bin even in
-/// near-tie cases.
-void softmax_into(const float* row, std::size_t begin, std::size_t end,
-                  float* out) {
-  const std::size_t classes = end - begin;
-  float maxv = row[begin];
-  for (std::size_t c = 1; c < classes; ++c) {
-    maxv = std::max(maxv, row[begin + c]);
-  }
-  double denom = 0;
-  for (std::size_t c = 0; c < classes; ++c) {
-    out[c] = std::exp(row[begin + c] - maxv);
-    denom += out[c];
-  }
-  for (std::size_t c = 0; c < classes; ++c) {
-    out[c] = static_cast<float>(out[c] / denom);
   }
 }
 
@@ -237,7 +123,8 @@ double from_bin(std::size_t bin, double lo, double hi, std::size_t bins) {
 
 // ---------------------------------------------------------------------------
 
-/// Shared plumbing: a Sequential net + Adam and (de)serialization.
+/// Shared plumbing: a Sequential net + Adam, (de)serialization, and the one
+/// inference path — a compiled plan every predict runs through.
 class NetModel : public DrivingModel {
  public:
   explicit NetModel(const ModelConfig& cfg)
@@ -251,10 +138,20 @@ class NetModel : public DrivingModel {
     return p;
   }
 
-  /// Every zoo model must provide the real batched forward (the inherited
-  /// fallback loop would recurse through predict).
+  /// Runs the batch through the compiled plan in chunks of its cap. With
+  /// no plan attached, compiles one at the cap attach_plan last set (or
+  /// kDefaultPlanCap) first.
   void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override = 0;
+                     Prediction* out) final {
+    if (n == 0) return;
+    if (!plan_) attach_plan(plan_cap_);
+    const std::size_t cap = plan_->max_batch();
+    for (std::size_t at = 0; at < n; at += cap) {
+      const std::size_t rows = std::min(cap, n - at);
+      run_plan(obs + at, rows, out + at);
+      plan_->record_exec(rows);
+    }
+  }
 
   std::size_t num_parameters() override {
     std::size_t n = 0;
@@ -268,9 +165,11 @@ class NetModel : public DrivingModel {
   void save(std::ostream& os) override {
     for (Sequential* s : nets()) s->save_params(os);
   }
+  /// Loads drop the plan (it holds raw parameter pointers); the next
+  /// predict recompiles it at the same cap.
   void load(std::istream& is) override {
     for (Sequential* s : nets()) s->load_params(is);
-    reattach_plan();
+    plan_.reset();
   }
   void save_full(std::ostream& os) override {
     for (Sequential* s : nets()) s->save_params(os);
@@ -288,18 +187,20 @@ class NetModel : public DrivingModel {
                            "DrivingModel: truncated RNG state");
     }
     rng_.set_state(st);
-    reattach_plan();
+    plan_.reset();
   }
 
-  /// Compiles every net through the model's build_plan hook. Idempotent
-  /// for an unchanged cap — replicated registries publish one shared
-  /// model to many replicas and must not recompile per replica.
+  /// Compiles every net through the model's build_plan hook and keeps the
+  /// cap for later recompiles. Idempotent for an unchanged cap —
+  /// replicated registries publish one shared model to many replicas and
+  /// must not recompile per replica.
   bool attach_plan(std::size_t max_batch) final {
     if (plan_ && plan_->max_batch() == max_batch) return true;
     plan_.reset();
     auto plan = std::make_unique<CompiledModel>(max_batch);
     build_plan(*plan, max_batch);
     plan_ = std::move(plan);
+    plan_cap_ = max_batch;
     return true;
   }
   void detach_plan() final { plan_.reset(); }
@@ -308,24 +209,40 @@ class NetModel : public DrivingModel {
  protected:
   /// Adds this model's nets to the plan (and sizes any decode scratch).
   /// The CompiledNet pointers the model keeps from add_net stay valid for
-  /// the plan's lifetime and are only dereferenced under a plan_ check.
+  /// the plan's lifetime; run_plan only runs while the plan is attached.
   virtual void build_plan(CompiledModel& plan, std::size_t max_batch) = 0;
 
-  /// True when a batch of n should take the compiled path.
-  bool use_plan(std::size_t n) const {
-    return plan_ != nullptr && n <= plan_->max_batch();
+  /// One chunk of n <= cap rows: stage obs into the plan inputs, run the
+  /// plan and decode into out[0..n).
+  virtual void run_plan(const Sample* obs, std::size_t n,
+                        Prediction* out) = 0;
+
+  /// Stages obs[0..n) — each sample's last seq_len() frames — into a plan
+  /// input slot.
+  void stage_batch(const Sample* obs, std::size_t n, float* x) const {
+    const std::size_t t = seq_len();
+    for (std::size_t i = 0; i < n; ++i) {
+      stage_sample(obs[i], t, cfg_.img_h, cfg_.img_w,
+                   x + i * t * cfg_.img_h * cfg_.img_w);
+    }
   }
 
-  /// Parameter loads re-seat tensor storage, which invalidates the
-  /// parameter pointers a plan resolved at compile time — rebuild.
-  void reattach_plan() {
-    if (!plan_) return;
-    const std::size_t max_batch = plan_->max_batch();
-    plan_.reset();
-    attach_plan(max_batch);
+  /// Training input: the same staging into a fresh tensor of `shape`.
+  Tensor frames_tensor(const std::vector<const Sample*>& batch,
+                       std::vector<std::size_t> shape) const {
+    Tensor x(std::move(shape));
+    const std::size_t t = seq_len();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      stage_sample(*batch[i], t, cfg_.img_h, cfg_.img_w,
+                   x.data() + i * t * cfg_.img_h * cfg_.img_w);
+    }
+    return x;
   }
-
-  std::unique_ptr<CompiledModel> plan_;
+  /// [N*T, 1, H, W]: the 2-D models' input (T = 1) and the rnn's.
+  Tensor frames_tensor(const std::vector<const Sample*>& batch) const {
+    return frames_tensor(
+        batch, {batch.size() * seq_len(), 1, cfg_.img_h, cfg_.img_w});
+  }
 
   /// Every Sequential the model owns, in parameter order. The memory/rnn
   /// models add their head here, which hoists all (de)serialization and
@@ -336,6 +253,10 @@ class NetModel : public DrivingModel {
   util::Rng rng_;
   Sequential net_;
   Adam opt_;
+
+ private:
+  std::unique_ptr<CompiledModel> plan_;
+  std::size_t plan_cap_ = kDefaultPlanCap;
 };
 
 // --- linear ----------------------------------------------------------------
@@ -353,26 +274,8 @@ class LinearModel : public NetModel {
 
   ModelType type() const override { return ModelType::Linear; }
 
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames(obs, n, cfg_.img_h, cfg_.img_w, net_plan_->input());
-      decode_regression(net_plan_->run(n), n, out);
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor y = net_.forward(
-        frames_tensor(batch_ptrs(obs, n), cfg_.img_h, cfg_.img_w),
-        /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = Prediction{std::clamp<double>(y.at(i, 0), -1, 1),
-                          std::clamp<double>(y.at(i, 1), 0, 1)};
-    }
-  }
-
   double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
+    const Tensor x = frames_tensor(batch);
     const Tensor pred = net_.forward(x, /*train=*/true);
     auto [loss, grad] = mse_loss(pred, targets_tensor(batch));
     net_.backward(grad);
@@ -381,7 +284,7 @@ class LinearModel : public NetModel {
   }
 
   double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
+    const Tensor x = frames_tensor(batch);
     const Tensor pred = net_.forward(x, /*train=*/false);
     return mse_loss(pred, targets_tensor(batch)).first;
   }
@@ -389,6 +292,10 @@ class LinearModel : public NetModel {
  protected:
   void build_plan(CompiledModel& plan, std::size_t max_batch) override {
     net_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
+  }
+  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
+    stage_batch(obs, n, net_plan_->input());
+    decode_regression(net_plan_->run(n), n, out);
   }
 
  private:
@@ -410,47 +317,8 @@ class CategoricalModel : public NetModel {
 
   ModelType type() const override { return ModelType::Categorical; }
 
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames(obs, n, cfg_.img_h, cfg_.img_w, net_plan_->input());
-      const float* logits = net_plan_->run(n);
-      const std::size_t stride = cfg_.steering_bins + cfg_.throttle_bins;
-      for (std::size_t i = 0; i < n; ++i) {
-        const float* row = logits + i * stride;
-        softmax_into(row, 0, cfg_.steering_bins, plan_ps_.data());
-        softmax_into(row, cfg_.steering_bins, stride, plan_pt_.data());
-        const std::size_t sb = static_cast<std::size_t>(
-            std::max_element(plan_ps_.begin(), plan_ps_.end()) -
-            plan_ps_.begin());
-        const std::size_t tb = static_cast<std::size_t>(
-            std::max_element(plan_pt_.begin(), plan_pt_.end()) -
-            plan_pt_.begin());
-        out[i] = Prediction{from_bin(sb, -1, 1, cfg_.steering_bins),
-                            from_bin(tb, 0, 1, cfg_.throttle_bins)};
-      }
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor logits = net_.forward(
-        frames_tensor(batch_ptrs(obs, n), cfg_.img_h, cfg_.img_w),
-        /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto ps = softmax_row(logits, i, 0, cfg_.steering_bins);
-      const auto pt = softmax_row(logits, i, cfg_.steering_bins,
-                                  cfg_.steering_bins + cfg_.throttle_bins);
-      const std::size_t sb = static_cast<std::size_t>(
-          std::max_element(ps.begin(), ps.end()) - ps.begin());
-      const std::size_t tb = static_cast<std::size_t>(
-          std::max_element(pt.begin(), pt.end()) - pt.begin());
-      out[i] = Prediction{from_bin(sb, -1, 1, cfg_.steering_bins),
-                          from_bin(tb, 0, 1, cfg_.throttle_bins)};
-    }
-  }
-
   double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
+    const Tensor x = frames_tensor(batch);
     const Tensor logits = net_.forward(x, /*train=*/true);
     Tensor grad(logits.shape());
     const double loss = heads_loss(logits, batch, grad);
@@ -460,7 +328,7 @@ class CategoricalModel : public NetModel {
   }
 
   double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
+    const Tensor x = frames_tensor(batch);
     const Tensor logits = net_.forward(x, /*train=*/false);
     Tensor grad(logits.shape());
     return heads_loss(logits, batch, grad);
@@ -469,13 +337,29 @@ class CategoricalModel : public NetModel {
  protected:
   void build_plan(CompiledModel& plan, std::size_t max_batch) override {
     net_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
-    plan_ps_.assign(cfg_.steering_bins, 0.0f);
-    plan_pt_.assign(cfg_.throttle_bins, 0.0f);
+    ps_.assign(cfg_.steering_bins, 0.0f);
+    pt_.assign(cfg_.throttle_bins, 0.0f);
+  }
+  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
+    stage_batch(obs, n, net_plan_->input());
+    const float* logits = net_plan_->run(n);
+    const std::size_t stride = cfg_.steering_bins + cfg_.throttle_bins;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* row = logits + i * stride;
+      softmax_row(row, cfg_.steering_bins, ps_.data());
+      softmax_row(row + cfg_.steering_bins, cfg_.throttle_bins, pt_.data());
+      const std::size_t sb = static_cast<std::size_t>(
+          std::max_element(ps_.begin(), ps_.end()) - ps_.begin());
+      const std::size_t tb = static_cast<std::size_t>(
+          std::max_element(pt_.begin(), pt_.end()) - pt_.begin());
+      out[i] = Prediction{from_bin(sb, -1, 1, cfg_.steering_bins),
+                          from_bin(tb, 0, 1, cfg_.throttle_bins)};
+    }
   }
 
  private:
   CompiledNet* net_plan_ = nullptr;
-  std::vector<float> plan_ps_, plan_pt_;  // per-head softmax scratch
+  std::vector<float> ps_, pt_;  // per-head softmax scratch
 
   double heads_loss(const Tensor& logits,
                     const std::vector<const Sample*>& batch, Tensor& grad) {
@@ -516,28 +400,8 @@ class InferredModel : public NetModel {
 
   ModelType type() const override { return ModelType::Inferred; }
 
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames(obs, n, cfg_.img_h, cfg_.img_w, net_plan_->input());
-      const float* y = net_plan_->run(n);  // one steering column
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = decode_steer(y[i]);
-      }
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor y = net_.forward(
-        frames_tensor(batch_ptrs(obs, n), cfg_.img_h, cfg_.img_w),
-        /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = decode_steer(y.at(i, 0));
-    }
-  }
-
   double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
+    const Tensor x = frames_tensor(batch);
     const Tensor pred = net_.forward(x, /*train=*/true);
     auto [loss, grad] = mse_loss(pred, steer_targets(batch));
     net_.backward(grad);
@@ -546,7 +410,7 @@ class InferredModel : public NetModel {
   }
 
   double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch, cfg_.img_h, cfg_.img_w);
+    const Tensor x = frames_tensor(batch);
     const Tensor pred = net_.forward(x, /*train=*/false);
     return mse_loss(pred, steer_targets(batch)).first;
   }
@@ -554,6 +418,11 @@ class InferredModel : public NetModel {
  protected:
   void build_plan(CompiledModel& plan, std::size_t max_batch) override {
     net_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
+  }
+  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
+    stage_batch(obs, n, net_plan_->input());
+    const float* y = net_plan_->run(n);  // one steering column
+    for (std::size_t i = 0; i < n; ++i) out[i] = decode_steer(y[i]);
   }
 
  private:
@@ -595,37 +464,6 @@ class MemoryModel : public NetModel {
   ModelType type() const override { return ModelType::Memory; }
   std::size_t history_len() const override { return cfg_.history_len; }
 
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames(obs, n, cfg_.img_h, cfg_.img_w, enc_plan_->input());
-      const float* feats = enc_plan_->run(n);
-      float* concat = head_plan_->input();
-      const std::size_t row = features_ + hist_;
-      for (std::size_t i = 0; i < n; ++i) {
-        std::copy(feats + i * features_, feats + (i + 1) * features_,
-                  concat + i * row);
-        const Sample& s = obs[i];
-        if (s.history.size() < hist_) {
-          throw std::invalid_argument("memory model: history too short");
-        }
-        for (std::size_t k = 0; k < hist_; ++k) {
-          concat[i * row + features_ + k] =
-              s.history[s.history.size() - hist_ + k];
-        }
-      }
-      decode_regression(head_plan_->run(n), n, out);
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor y = forward(batch_ptrs(obs, n), /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = Prediction{std::clamp<double>(y.at(i, 0), -1, 1),
-                          std::clamp<double>(y.at(i, 1), 0, 1)};
-    }
-  }
-
   double train_batch(const std::vector<const Sample*>& batch) override {
     const Tensor pred = forward(batch, /*train=*/true);
     auto [loss, grad] = mse_loss(pred, targets_tensor(batch));
@@ -662,27 +500,39 @@ class MemoryModel : public NetModel {
     enc_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
     head_plan_ = &plan.add_net(head_, {features_ + hist_}, max_batch);
   }
+  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
+    stage_batch(obs, n, enc_plan_->input());
+    const float* feats = enc_plan_->run(n);
+    float* concat = head_plan_->input();
+    for (std::size_t i = 0; i < n; ++i) {
+      concat_row(feats + i * features_, obs[i],
+                 concat + i * (features_ + hist_));
+    }
+    decode_regression(head_plan_->run(n), n, out);
+  }
 
  private:
   CompiledNet* enc_plan_ = nullptr;
   CompiledNet* head_plan_ = nullptr;
 
+  /// One head input row: the encoder features, then the sample's last
+  /// history_len command pairs.
+  void concat_row(const float* feats, const Sample& s, float* row) const {
+    if (s.history.size() < hist_) {
+      throw std::invalid_argument("memory model: history too short");
+    }
+    std::copy(feats, feats + features_, row);
+    std::copy(s.history.end() - static_cast<std::ptrdiff_t>(hist_),
+              s.history.end(), row + features_);
+  }
+
   Tensor forward(const std::vector<const Sample*>& batch, bool train) {
-    const Tensor feats =
-        net_.forward(frames_tensor(batch, cfg_.img_h, cfg_.img_w), train);
+    const Tensor feats = net_.forward(frames_tensor(batch), train);
     const std::size_t n = batch.size();
     Tensor concat({n, features_ + hist_});
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t k = 0; k < features_; ++k) {
-        concat.at(i, k) = feats.at(i, k);
-      }
-      const Sample& s = *batch[i];
-      if (s.history.size() < hist_) {
-        throw std::invalid_argument("memory model: history too short");
-      }
-      for (std::size_t k = 0; k < hist_; ++k) {
-        concat.at(i, features_ + k) = s.history[s.history.size() - hist_ + k];
-      }
+      concat_row(feats.data() + i * features_, *batch[i],
+                 concat.data() + i * (features_ + hist_));
     }
     return head_.forward(concat, train);
   }
@@ -705,27 +555,6 @@ class RnnModel : public NetModel {
 
   ModelType type() const override { return ModelType::Rnn; }
   std::size_t seq_len() const override { return cfg_.seq_len; }
-
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames_seq(obs, n, cfg_.seq_len, cfg_.img_h, cfg_.img_w,
-                       enc_plan_->input());
-      // Encoder output [n*T, F] is [n, T, F] in memory: the head consumes
-      // it in place through the external-input overload (the interpreted
-      // path's reshape is likewise copy-free).
-      const float* feats = enc_plan_->run(n * cfg_.seq_len);
-      decode_regression(head_plan_->run(feats, n), n, out);
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor y = forward(batch_ptrs(obs, n), /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = Prediction{std::clamp<double>(y.at(i, 0), -1, 1),
-                          std::clamp<double>(y.at(i, 1), 0, 1)};
-    }
-  }
 
   double train_batch(const std::vector<const Sample*>& batch) override {
     const Tensor pred = forward(batch, /*train=*/true);
@@ -759,15 +588,21 @@ class RnnModel : public NetModel {
     head_plan_ =
         &plan.add_net(head_, {cfg_.seq_len, features_}, max_batch);
   }
+  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
+    stage_batch(obs, n, enc_plan_->input());
+    // Encoder output [n*T, F] is [n, T, F] in memory: the head consumes
+    // it in place through the external-input overload (training's reshape
+    // sees the same layout).
+    const float* feats = enc_plan_->run(n * cfg_.seq_len);
+    decode_regression(head_plan_->run(feats, n), n, out);
+  }
 
  private:
   CompiledNet* enc_plan_ = nullptr;
   CompiledNet* head_plan_ = nullptr;
 
   Tensor forward(const std::vector<const Sample*>& batch, bool train) {
-    const Tensor x =
-        frames_tensor_seq(batch, cfg_.seq_len, cfg_.img_h, cfg_.img_w);
-    const Tensor feats = net_.forward(x, train);  // [N*T, F]
+    const Tensor feats = net_.forward(frames_tensor(batch), train);  // [N*T, F]
     return head_.forward(
         feats.reshaped({batch.size(), cfg_.seq_len, features_}), train);
   }
@@ -801,30 +636,8 @@ class Conv3dModel : public NetModel {
   ModelType type() const override { return ModelType::Conv3d; }
   std::size_t seq_len() const override { return cfg_.seq_len; }
 
-  void predict_batch(const Sample* obs, std::size_t n,
-                     Prediction* out) override {
-    if (n == 0) return;
-    if (use_plan(n)) {
-      stage_frames_3d(obs, n, cfg_.seq_len, cfg_.img_h, cfg_.img_w,
-                      net_plan_->input());
-      decode_regression(net_plan_->run(n), n, out);
-      plan_->record_exec(n);
-      return;
-    }
-    const Tensor y = net_.forward(
-        frames_tensor_3d(batch_ptrs(obs, n), cfg_.seq_len, cfg_.img_h,
-                         cfg_.img_w),
-        /*train=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = Prediction{std::clamp<double>(y.at(i, 0), -1, 1),
-                          std::clamp<double>(y.at(i, 1), 0, 1)};
-    }
-  }
-
   double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x =
-        frames_tensor_3d(batch, cfg_.seq_len, cfg_.img_h, cfg_.img_w);
-    const Tensor pred = net_.forward(x, /*train=*/true);
+    const Tensor pred = net_.forward(stack(batch), /*train=*/true);
     auto [loss, grad] = mse_loss(pred, targets_tensor(batch));
     net_.backward(grad);
     opt_.step(net_.params());
@@ -832,9 +645,7 @@ class Conv3dModel : public NetModel {
   }
 
   double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x =
-        frames_tensor_3d(batch, cfg_.seq_len, cfg_.img_h, cfg_.img_w);
-    const Tensor pred = net_.forward(x, /*train=*/false);
+    const Tensor pred = net_.forward(stack(batch), /*train=*/false);
     return mse_loss(pred, targets_tensor(batch)).first;
   }
 
@@ -843,9 +654,19 @@ class Conv3dModel : public NetModel {
     net_plan_ = &plan.add_net(
         net_, {1, cfg_.seq_len, cfg_.img_h, cfg_.img_w}, max_batch);
   }
+  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
+    stage_batch(obs, n, net_plan_->input());
+    decode_regression(net_plan_->run(n), n, out);
+  }
 
  private:
   CompiledNet* net_plan_ = nullptr;
+
+  /// The last seq_len frames as the depth axis: [N, 1, T, H, W].
+  Tensor stack(const std::vector<const Sample*>& batch) const {
+    return frames_tensor(
+        batch, {batch.size(), 1, cfg_.seq_len, cfg_.img_h, cfg_.img_w});
+  }
 };
 
 }  // namespace

@@ -14,6 +14,9 @@
 //
 // All models consume Sample observations; sequence models read the last
 // seq_len() frames, the memory model reads history_len() command pairs.
+// Training walks the Sequential stacks layer by layer; inference has one
+// path, the compiled plan (ml/plan.hpp), which every zoo model's
+// predict_batch runs through.
 #pragma once
 
 #include <iosfwd>
@@ -89,10 +92,10 @@ class DrivingModel {
   virtual Prediction predict(const Sample& obs) = 0;
 
   /// Batched inference: fills out[0..n) from obs[0..n). The zoo models
-  /// override this to run a single batched forward through the GEMM
-  /// backbone (one im2col + sgemm per layer instead of n), which is what
-  /// makes fleet serving amortize per-call cost; the base implementation
-  /// is a per-sample fallback loop for external subclasses.
+  /// run the batch through their compiled plan in chunks of its cap (one
+  /// im2col + sgemm per layer per chunk instead of per sample), which is
+  /// what makes fleet serving amortize per-call cost; the base
+  /// implementation is a per-sample fallback loop for external subclasses.
   virtual void predict_batch(const Sample* obs, std::size_t n,
                              Prediction* out);
 
@@ -115,22 +118,26 @@ class DrivingModel {
   virtual Precision precision() const { return Precision::Fp32; }
 
   /// Compiles the forward path into a static-arena step program
-  /// (ml/plan.hpp) specialized for batches up to `max_batch`.
-  /// predict_batch then routes batches with n <= max_batch through the
-  /// plan — bit-identically to the interpreted path — and falls back to
-  /// the layer walk for larger ones. Idempotent when a plan with the same
-  /// cap is already attached; re-attaching after load() happens
-  /// automatically. Returns false when the model has no compiled path
-  /// (external subclasses); throws PlanError when compilation fails.
+  /// (ml/plan.hpp) for chunks of up to `max_batch` rows, and keeps that
+  /// cap. The zoo models compile lazily on their first predict — at the
+  /// cap attach_plan last set, else 32 rows — so calling this only picks
+  /// the cap ahead of time; larger batches run as cap-sized chunks.
+  /// load()/load_full() drop the plan and the next predict rebuilds it at
+  /// the same cap. Idempotent when a plan with the same cap is attached.
+  /// Returns false when the model has no compiled path (external
+  /// subclasses); throws PlanError when compilation fails.
   virtual bool attach_plan(std::size_t /*max_batch*/) { return false; }
+  /// Drops the plan; the next predict recompiles it at the same cap.
   virtual void detach_plan() {}
-  /// The attached plan, or nullptr.
+  /// The attached plan, or nullptr before the first predict or attach.
   virtual CompiledModel* plan() { return nullptr; }
 
-  /// The Sequential stacks predict_batch runs, exposed for post-training
-  /// transforms: ml::quantize_model swaps Dense/Conv layers for int8
-  /// twins in place. The zoo models return their nets; external
-  /// subclasses keep the empty default and simply cannot be quantized.
+  /// The Sequential stacks the model trains and compiles, exposed for
+  /// post-training transforms: ml::quantize_model swaps Dense/Conv layers
+  /// for int8 twins in place. A swap leaves an attached plan pointing at
+  /// the old layer, so call detach_plan() after one. The zoo models return
+  /// their nets; external subclasses keep the empty default and simply
+  /// cannot be quantized.
   virtual std::vector<Sequential*> mutable_nets() { return {}; }
 
   /// Full training-state snapshot: parameters PLUS optimizer slots, layer

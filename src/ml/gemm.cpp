@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__GLIBC__)
@@ -116,10 +115,13 @@ void micro_kernel_base(std::size_t kc, const float* __restrict pa,
 
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #define AUTOLEARN_GEMM_DISPATCH 1
-[[gnu::target("avx2,fma")]] void micro_kernel_avx2(std::size_t kc,
-                                                   const float* __restrict pa,
-                                                   const float* __restrict pb,
-                                                   float out[MR][NR]) {
+// Pinned to a cache-line boundary: otherwise the kernel's loop lands
+// wherever the size of the code linked before it puts it, and on the
+// Xeon used for the host-time benchmark a 32-byte shift cost fleet_serve
+// ~10% wall time with no change to the kernel itself.
+[[gnu::target("avx2,fma"), gnu::aligned(64)]] void micro_kernel_avx2(
+    std::size_t kc, const float* __restrict pa, const float* __restrict pb,
+    float out[MR][NR]) {
   AUTOLEARN_MICRO_KERNEL_BODY
 }
 #endif
@@ -186,10 +188,9 @@ void gemm_tile(bool trans_a, bool trans_b, std::size_t i0, std::size_t mt,
 }  // namespace
 
 void tune_interpreted_allocator() {
-  // The interpreted layer-by-layer forward/backward (training, and any
-  // model without an attached plan) allocates fresh per-batch tensors
-  // whose sizes sit just above glibc's default 128 KiB mmap threshold. An
-  // mmap'd block is munmap'd on free, so the next batch's identically-
+  // Training's layer-by-layer forward/backward allocates fresh per-batch
+  // tensors whose sizes sit just above glibc's default 128 KiB mmap
+  // threshold. An mmap'd block is munmap'd on free, so the next batch's identically-
   // sized allocation gets a fresh zero-filled mapping and every pass over
   // it pays demand paging — measured at ~20x the cost of streaming a
   // recycled heap block (glibc's dynamic threshold ratchets to exactly
@@ -197,15 +198,11 @@ void tune_interpreted_allocator() {
   // forever). Raising the threshold keeps these blocks on the heap where
   // freed chunks are reused warm. The compiled-plan path (ml/plan.hpp)
   // needs none of this — it runs out of a preallocated arena — so the
-  // tuning is applied lazily from the interpreted entry points (ml::fit)
-  // instead of at static init. AUTOLEARN_MMAP_TUNE=0 disables it for A/B
-  // measurements. No effect on numerical results.
+  // tuning is applied lazily from the training entry point (ml::fit)
+  // instead of at static init. No effect on numerical results.
   static const bool tuned = [] {
 #if defined(__GLIBC__)
-    const char* env = std::getenv("AUTOLEARN_MMAP_TUNE");
-    if (env == nullptr || std::strcmp(env, "0") != 0) {
-      mallopt(M_MMAP_THRESHOLD, 64 << 20);
-    }
+    mallopt(M_MMAP_THRESHOLD, 64 << 20);
 #endif
     return true;
   }();

@@ -95,13 +95,12 @@ struct KernelCounters {
 /// Snapshot of the totals accumulated so far in this process.
 KernelCounters kernel_counters();
 
-/// Raises glibc's M_MMAP_THRESHOLD so the interpreted layer-by-layer
-/// path's recurring per-batch tensors stay on the heap instead of being
+/// Raises glibc's M_MMAP_THRESHOLD so training's layer-by-layer
+/// recurring per-batch tensors stay on the heap instead of being
 /// mmap'd/munmap'd every batch (~20x demand-paging tax, measured — see
-/// docs/performance.md). Idempotent; called lazily from the interpreted
-/// entry points (ml::fit). The compiled-plan path (ml/plan.hpp) does not
-/// need it: plans run out of a preallocated arena. Set
-/// AUTOLEARN_MMAP_TUNE=0 to disable (A/B measurements).
+/// docs/performance.md). Idempotent; called lazily from ml::fit. The
+/// compiled-plan inference path (ml/plan.hpp) does not need it: plans run
+/// out of a preallocated arena.
 void tune_interpreted_allocator();
 
 namespace detail {

@@ -1,5 +1,6 @@
 #include "ml/loss.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -53,21 +54,17 @@ double softmax_xent_slice(const Tensor& logits, std::size_t begin,
   return loss * invn;
 }
 
-std::vector<float> softmax_row(const Tensor& logits, std::size_t row,
-                               std::size_t begin, std::size_t end) {
-  const std::size_t classes = end - begin;
-  std::vector<float> out(classes);
-  float maxv = logits.at(row, begin);
-  for (std::size_t c = 1; c < classes; ++c) {
-    maxv = std::max(maxv, logits.at(row, begin + c));
-  }
+void softmax_row(const float* logits, std::size_t classes, float* out) {
+  float maxv = logits[0];
+  for (std::size_t c = 1; c < classes; ++c) maxv = std::max(maxv, logits[c]);
   double denom = 0;
   for (std::size_t c = 0; c < classes; ++c) {
-    out[c] = std::exp(logits.at(row, begin + c) - maxv);
+    out[c] = std::exp(logits[c] - maxv);
     denom += out[c];
   }
-  for (auto& v : out) v = static_cast<float>(v / denom);
-  return out;
+  for (std::size_t c = 0; c < classes; ++c) {
+    out[c] = static_cast<float>(out[c] / denom);
+  }
 }
 
 }  // namespace autolearn::ml

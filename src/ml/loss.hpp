@@ -23,8 +23,9 @@ double softmax_xent_slice(const Tensor& logits, std::size_t begin,
                           const std::vector<std::size_t>& targets,
                           Tensor& grad_accum);
 
-/// Softmax probabilities of a row slice (inference helper).
-std::vector<float> softmax_row(const Tensor& logits, std::size_t row,
-                               std::size_t begin, std::size_t end);
+/// Softmax probabilities of `classes` logits into out[0..classes)
+/// (inference helper; writes no heap memory, so the compiled predict path
+/// can decode with it).
+void softmax_row(const float* logits, std::size_t classes, float* out);
 
 }  // namespace autolearn::ml

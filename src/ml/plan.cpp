@@ -108,8 +108,8 @@ struct Step {
   std::size_t scr0 = kNone, scr1 = kNone, scr2 = kNone;
   bool fuse_relu = false;
 
-  // Parameter pointers resolved at compile time (re-resolved by
-  // attach_plan after any load, which may re-seat tensor storage).
+  // Parameter pointers resolved at compile time (a load drops the plan,
+  // and the next predict recompiles against the loaded parameters).
   const float* w = nullptr;
   const float* w2 = nullptr;  // LSTM Wh
   const float* bias = nullptr;

@@ -1,22 +1,23 @@
-// Graph-compiled forward path with a static arena memory plan.
+// Graph-compiled forward path with a static arena memory plan: the one
+// inference path of every zoo model (DrivingModel::predict_batch).
 //
-// The interpreted predict path walks a Sequential layer by layer, with
-// every layer allocating its output Tensor (and often scratch) per batch.
-// CompiledNet does that walk ONCE: compile() lowers the layer list into a
-// flat step program (im2col + GEMM + fused bias/ReLU epilogues for the
-// conv stacks, gate GEMMs onto preallocated scratch for the LSTM, packed
-// int8 steps for the quantized twins), runs a liveness analysis over every
-// intermediate buffer, and first-fit assigns them into ONE float arena
-// sized for a fixed batch cap. Steady-state execution then performs zero
+// Sequential::forward, which training runs, walks the layers one by one,
+// with every layer allocating its output Tensor (and often scratch) per
+// batch. CompiledNet does that walk ONCE: compile() lowers the layer list
+// into a flat step program (im2col + GEMM + fused bias/ReLU epilogues for
+// the conv stacks, gate GEMMs onto preallocated scratch for the LSTM,
+// packed int8 steps for the quantized twins), runs a liveness analysis
+// over every intermediate buffer, and first-fit assigns them into ONE
+// float arena sized for a fixed batch cap. Steady-state execution then performs zero
 // heap allocations: staging, GEMMs and epilogues all run inside the arena
 // through the ThreadPool's raw (allocation-free) dispatch.
 //
 // Bitwise contract: a compiled step issues the exact kernel call sequence
 // (same sgemm/qgemm shapes, flags and leading dimensions, same epilogue
-// arithmetic, same reduction orders) as the interpreted layer it replaced,
-// so outputs are bit-identical to Sequential::forward for every batch
-// size up to the cap. ctest -L plan holds this as an oracle across the
-// whole model zoo, fp32 and int8.
+// arithmetic, same reduction orders) as the layer's own forward, so
+// outputs are bit-identical to Sequential::forward(x, false) for every
+// batch size up to the cap. ctest -L plan holds this as an oracle across
+// the nets of the whole model zoo, fp32 and int8.
 #pragma once
 
 #include <cstddef>
@@ -103,7 +104,8 @@ class CompiledNet {
 
 /// A model's full compiled forward: one CompiledNet per Sequential it
 /// owns, plus the batch cap the plan was specialized for and optional
-/// metrics plumbing. Built by DrivingModel::attach_plan.
+/// metrics plumbing. Built by DrivingModel::attach_plan, which a zoo
+/// model's first predict calls when no plan is attached.
 class CompiledModel {
  public:
   explicit CompiledModel(std::size_t max_batch);
@@ -123,7 +125,7 @@ class CompiledModel {
   /// (the registry's string lookup allocates; the hot path must not).
   /// nullptr detaches.
   void instrument(obs::MetricsRegistry* metrics);
-  /// Hot-path accounting: one batch of `rows` served through the plan.
+  /// Hot-path accounting: one chunk of `rows` run through the plan.
   void record_exec(std::size_t rows);
 
  private:

@@ -11,6 +11,7 @@
 #include "ml/layers.hpp"
 #include "ml/quant.hpp"
 #include "ml/quant_layers.hpp"
+#include "ml/trainer.hpp"
 
 namespace autolearn::ml {
 namespace {
@@ -151,13 +152,12 @@ std::unique_ptr<QuantizedModel> quantize_model(
     throw std::invalid_argument("quantize_model: nothing to quantize");
   }
 
-  // 2. Calibration passes: plain batched inference, observers recording.
-  const std::size_t bs = std::max<std::size_t>(1, options.calibration_batch);
-  std::vector<Prediction> sink(bs);
-  for (std::size_t at = 0; at < calibration.size(); at += bs) {
-    const std::size_t n = std::min(bs, calibration.size() - at);
-    clone->predict_batch(calibration.data() + at, n, sink.data());
-  }
+  // 2. Calibration passes, observers recording. Observed layers cannot
+  // compile into a plan, so the passes run eval_batch in chunks of
+  // calibration_batch: Sequential::forward(train=false) over the same
+  // staged inputs a predict would use. The loss itself is unused.
+  evaluate_loss(*clone, calibration,
+                std::max<std::size_t>(1, options.calibration_batch));
 
   // 3. Swap each observed site for its int8 twin.
   for (auto& [net, i] : sites) {

@@ -2,7 +2,8 @@
 // on calibration tub data, then swap every Dense/Conv2D/Conv3D in the
 // model's nets for an int8 twin (quant_layers.hpp). The result is a
 // frozen QuantizedModel serving through the unchanged predict /
-// predict_batch entry points — the paper's edge tier trades ~4x cheaper
+// predict_batch entry points, whose compiled plan lowers the twins to
+// packed-qgemm steps — the paper's edge tier trades ~4x cheaper
 // arithmetic for a bounded steering drift (gated by ctest -L quant).
 #pragma once
 
@@ -83,10 +84,12 @@ class QuantizedModel : public DrivingModel {
 
 /// Builds an int8 QuantizedModel from a trained source model. `cfg` must
 /// be the config `src` was built with (the clone is reconstructed through
-/// make_model + save/load). Calibration runs predict_batch over the given
-/// samples with range observers attached, then every quantizable layer is
-/// replaced in place. Throws std::invalid_argument if `calibration` is
-/// empty or the model exposes no nets.
+/// make_model + save/load). Calibration runs eval_batch — the interpreted
+/// forward, since observed layers cannot compile — over the given samples
+/// in chunks of calibration_batch with range observers attached, then
+/// every quantizable layer is replaced in place. Throws
+/// std::invalid_argument if `calibration` is empty or the model exposes no
+/// nets.
 std::unique_ptr<QuantizedModel> quantize_model(
     DrivingModel& src, const ModelConfig& cfg,
     const std::vector<Sample>& calibration,

@@ -143,10 +143,9 @@ TrainResult fit(DrivingModel& model, const std::vector<Sample>& train,
 double evaluate_loss(DrivingModel& model, const std::vector<Sample>& data,
                      std::size_t batch_size = 64);
 
-/// Mean absolute steering error of per-sample predictions — the accuracy
-/// number reported in the E1 model-comparison table.
-/// Mean absolute steering error over the dataset, computed through the
-/// batched inference path (chunks of `batch_size`).
+/// Mean absolute steering error over the dataset — the accuracy number
+/// reported in the E1 model-comparison table — computed through
+/// predict_batch in chunks of `batch_size`.
 double steering_mae(DrivingModel& model, const std::vector<Sample>& data,
                     std::size_t batch_size = 32);
 

@@ -13,9 +13,8 @@ void ModelRegistry::set_plan_batch(std::size_t max_batch) {
     std::lock_guard<std::mutex> lock(mu_);
     plan_batch_ = max_batch;
   }
-  // Compile the already-published model too: enabling plans after
-  // warm_start must not leave the fleet on the interpreted path until the
-  // next retrain.
+  // Compile the already-published model too (e.g. after warm_start), so
+  // its first served batch does not compile lazily at another cap.
   const auto snap = current();
   if (snap) compile_model(*snap->model, "set_plan_batch");
 }
@@ -35,9 +34,12 @@ void ModelRegistry::compile_model(ml::DrivingModel& model,
   if (cap == 0) return;
   // attach_plan is idempotent for a matching cap; skip the observability
   // emit when nothing was actually compiled (e.g. republishing a shared
-  // model into several replicas).
+  // model into several replicas, or one whose first predict compiled it).
   ml::CompiledModel* before = model.plan();
-  if (before != nullptr && before->max_batch() == cap) return;
+  if (before != nullptr && before->max_batch() == cap) {
+    if (metrics_) before->instrument(metrics_);
+    return;
+  }
   if (!model.attach_plan(cap)) return;  // model type has no compiled path
   ml::CompiledModel* plan = model.plan();
   if (plan == nullptr) return;

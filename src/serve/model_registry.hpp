@@ -53,14 +53,15 @@ class ModelRegistry {
   std::uint64_t publish(std::shared_ptr<ml::DrivingModel> model,
                         std::string tag = "");
 
-  /// Enables graph compilation: every model published from now on (and the
-  /// currently published one, if any) gets a CompiledModel plan attached
-  /// for batches up to `max_batch`, so steady-state predict_batch runs the
-  /// arena-planned zero-allocation path. `max_batch == 0` disables
-  /// compilation for future publishes (existing plans stay attached).
+  /// Sets the cap served models compile for: every model published from
+  /// now on (and the currently published one, if any) gets its
+  /// CompiledModel plan attached at publish time for chunks of up to
+  /// `max_batch` rows, so no served batch pays a lazy compile.
+  /// `max_batch == 0` stops compiling at publish (existing plans stay
+  /// attached); such models compile on their first predict instead.
   void set_plan_batch(std::size_t max_batch);
 
-  /// Plan batch cap compiled into published models; 0 when disabled.
+  /// Plan batch cap compiled into published models; 0 when unset.
   std::size_t plan_batch() const;
 
   /// Installs an existing snapshot (shared with another replica) without
@@ -99,6 +100,8 @@ class ModelRegistry {
   /// Attaches a plan to `model` when plan_batch_ is set; emits the
   /// "plan.compile" instant + serve.plan.* gauges when a compile actually
   /// ran (attach_plan is an idempotent no-op for an already-matching cap).
+  /// Either way the plan's exec counters report into this registry's
+  /// metrics.
   void compile_model(ml::DrivingModel& model, const char* reason);
 
   mutable std::mutex mu_;

@@ -159,17 +159,16 @@ void FleetService::init(std::vector<ModelRegistry*> registries) {
   }
   active_shards_ = options_.shards;
 
-  if (options_.compile_plans) {
-    // Unreplicated mode aliases one registry across every shard — enable
-    // plans once per distinct registry. Models published later compile at
-    // publish() time; an already-published model compiles right here.
-    if (replicated_) {
-      // Covers idle replicas too, so a scale-up past options_.shards
-      // serves a compiled model from its first batch.
-      replicated_->set_plan_batch(options_.batcher.max_batch);
-    } else {
-      base_registry_->set_plan_batch(options_.batcher.max_batch);
-    }
+  // Served models compile for the batcher's cap. Unreplicated mode aliases
+  // one registry across every shard — set the cap once per distinct
+  // registry. Models published later compile at publish() time; an
+  // already-published model compiles right here.
+  if (replicated_) {
+    // Covers idle replicas too, so a scale-up past options_.shards
+    // serves a compiled model from its first batch.
+    replicated_->set_plan_batch(options_.batcher.max_batch);
+  } else {
+    base_registry_->set_plan_batch(options_.batcher.max_batch);
   }
 
   obs::Tracer* tracer = options_.continuum.tracer;

@@ -95,11 +95,6 @@ struct FleetOptions {
   std::size_t img_w = 32;
   std::size_t img_h = 24;
   std::uint64_t seed = 1;
-  /// Graph-compile served models for the batcher's max_batch cap
-  /// (registry.set_plan_batch): steady-state inference runs the static
-  /// arena plan with zero per-batch heap allocation. Off = interpreted
-  /// per-layer path (the pre-plan behavior, used by the bench A/B).
-  bool compile_plans = true;
 
   // --- sharding ------------------------------------------------------------
   /// Shard workers the fleet STARTS with (1 = the pre-sharding

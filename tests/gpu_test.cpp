@@ -110,8 +110,8 @@ TEST(Inference, SmallerModelIsFaster) {
 }
 
 TEST(Inference, BatchOfOneMatchesSingleSignatureBitwise) {
-  // The legacy single-sample signature is defined as the batched variant
-  // at batch = 1 — equal bits, not just equal-ish values.
+  // Omitting the batch means batch = 1 — equal bits, not just equal-ish
+  // values.
   for (const std::string& name : all_devices()) {
     const DeviceSpec& spec = device(name);
     for (std::uint64_t flops : {0ull, 1'000'000ull, 50'000'000ull}) {

@@ -1,12 +1,15 @@
-// Plan-vs-interpreted oracle for the graph-compiled forward path: for
-// every model in the six-type zoo, fp32 AND int8, the compiled arena
-// program must reproduce the interpreted per-layer forward BITWISE at
-// batch 1, at a ragged tail size, and at the full batch cap. Plus the
-// typed compile-failure contract (PlanError, never a crash) and the
+// Oracle for the graph-compiled forward path, the only way a zoo model
+// predicts: for every model in the six-type zoo, fp32 AND int8, each
+// Sequential compiled as a standalone CompiledNet must reproduce
+// Sequential::forward(x, false) BITWISE at 1 row, at a ragged row count
+// and at the full cap. Plus lazy compilation, over-cap chunking, the typed
+// compile-failure contract (PlanError, never a crash) and the
 // arena-sharing accounting. Selected by `ctest -L plan`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -48,22 +51,71 @@ std::vector<Sample> make_samples(const ModelConfig& cfg, std::size_t n,
   return out;
 }
 
-/// Interpreted reference first (no plan attached), then the compiled path
-/// on the same model: outputs must agree bit for bit.
-void expect_plan_matches_interpreted(DrivingModel& model,
-                                     const std::vector<Sample>& samples,
-                                     std::size_t n) {
-  ASSERT_LE(n, samples.size());
-  model.detach_plan();
-  std::vector<Prediction> ref(n);
-  model.predict_batch(samples.data(), n, ref.data());
-  ASSERT_TRUE(model.attach_plan(kMaxBatch));
-  ASSERT_NE(model.plan(), nullptr);
-  std::vector<Prediction> got(n);
-  model.predict_batch(samples.data(), n, got.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(ref[i].steering, got[i].steering) << "row " << i << " n=" << n;
-    EXPECT_EQ(ref[i].throttle, got[i].throttle) << "row " << i << " n=" << n;
+/// Per-row input shape and row cap of one of a model's nets.
+struct NetInput {
+  std::vector<std::size_t> row_shape;
+  std::size_t max_rows;
+};
+
+/// The inputs of a zoo model's nets, in mutable_nets() order, derived from
+/// the ModelConfig alone: the standard encoder's features feed the memory
+/// and rnn heads, and the rnn encoder folds time into its rows.
+std::vector<NetInput> net_inputs(ModelType type, const ModelConfig& cfg,
+                                 std::size_t cap) {
+  auto conv = [](std::size_t d) { return Conv2D::out_dim(d, 3, 2); };
+  const std::size_t features =
+      32 * conv(conv(conv(cfg.img_h))) * conv(conv(conv(cfg.img_w)));
+  const std::vector<std::size_t> frame = {1, cfg.img_h, cfg.img_w};
+  switch (type) {
+    case ModelType::Memory:
+      return {{frame, cap}, {{features + 2 * cfg.history_len}, cap}};
+    case ModelType::Rnn:
+      return {{frame, cap * cfg.seq_len}, {{cfg.seq_len, features}, cap}};
+    case ModelType::Conv3d:
+      return {{{1, cfg.seq_len, cfg.img_h, cfg.img_w}, cap}};
+    default:
+      return {{frame, cap}};
+  }
+}
+
+/// Compiles every net of `model` on its own and checks it against the
+/// layer walk on the same random input, bit for bit, at 1 row, 5 rows and
+/// the net's row cap.
+void expect_nets_match_forward(DrivingModel& model, ModelType type,
+                               const ModelConfig& cfg) {
+  const std::vector<Sequential*> nets = model.mutable_nets();
+  const std::vector<NetInput> inputs = net_inputs(type, cfg, kMaxBatch);
+  ASSERT_EQ(nets.size(), inputs.size());
+  util::Rng rng(17);
+  for (std::size_t k = 0; k < nets.size(); ++k) {
+    const NetInput& in = inputs[k];
+    CompiledNet plan(*nets[k], in.row_shape, in.max_rows);
+    for (std::size_t rows : {std::size_t{1}, std::size_t{5}, in.max_rows}) {
+      std::vector<std::size_t> shape = {rows};
+      shape.insert(shape.end(), in.row_shape.begin(), in.row_shape.end());
+      Tensor x(shape);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+      }
+      const Tensor ref = nets[k]->forward(x, /*train=*/false);
+      std::copy(x.data(), x.data() + x.size(), plan.input());
+      const float* got = plan.run(rows);
+      ASSERT_EQ(ref.size(), rows * plan.out_row_elems());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(ref[i]),
+                  std::bit_cast<std::uint32_t>(got[i]))
+            << "net " << k << " rows " << rows << " elem " << i;
+      }
+    }
+  }
+}
+
+void expect_same_predictions(const std::vector<Prediction>& ref,
+                             const std::vector<Prediction>& got) {
+  ASSERT_EQ(ref.size(), got.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(ref[i].steering, got[i].steering) << "row " << i;
+    EXPECT_EQ(ref[i].throttle, got[i].throttle) << "row " << i;
   }
 }
 
@@ -72,10 +124,7 @@ class PlanOracle : public ::testing::TestWithParam<ModelType> {};
 TEST_P(PlanOracle, Fp32BitwiseAtAllBatchSizes) {
   ModelConfig cfg;
   const auto model = make_model(GetParam(), cfg);
-  const auto samples = make_samples(cfg, kMaxBatch, 17);
-  expect_plan_matches_interpreted(*model, samples, 1);
-  expect_plan_matches_interpreted(*model, samples, 5);  // ragged tail
-  expect_plan_matches_interpreted(*model, samples, kMaxBatch);
+  expect_nets_match_forward(*model, GetParam(), cfg);
 }
 
 TEST_P(PlanOracle, Int8BitwiseAtAllBatchSizes) {
@@ -84,10 +133,7 @@ TEST_P(PlanOracle, Int8BitwiseAtAllBatchSizes) {
   const auto calibration = make_samples(cfg, 4, 29);
   const auto model = quantize_model(*fp32, cfg, calibration);
   ASSERT_EQ(model->precision(), Precision::Int8);
-  const auto samples = make_samples(cfg, kMaxBatch, 17);
-  expect_plan_matches_interpreted(*model, samples, 1);
-  expect_plan_matches_interpreted(*model, samples, 5);
-  expect_plan_matches_interpreted(*model, samples, kMaxBatch);
+  expect_nets_match_forward(model->inner(), GetParam(), cfg);
 }
 
 TEST_P(PlanOracle, RepeatedRunsAreDeterministic) {
@@ -98,26 +144,40 @@ TEST_P(PlanOracle, RepeatedRunsAreDeterministic) {
   std::vector<Prediction> first(kMaxBatch), second(kMaxBatch);
   model->predict_batch(samples.data(), kMaxBatch, first.data());
   model->predict_batch(samples.data(), kMaxBatch, second.data());
-  for (std::size_t i = 0; i < kMaxBatch; ++i) {
-    EXPECT_EQ(first[i].steering, second[i].steering) << "row " << i;
-    EXPECT_EQ(first[i].throttle, second[i].throttle) << "row " << i;
-  }
+  expect_same_predictions(first, second);
 }
 
+TEST_P(PlanOracle, FirstPredictCompilesAtTheLastCap) {
+  ModelConfig cfg;
+  const auto model = make_model(GetParam(), cfg);
+  const auto samples = make_samples(cfg, 1, 47);
+  EXPECT_EQ(model->plan(), nullptr);
+  model->predict(samples[0]);
+  ASSERT_NE(model->plan(), nullptr);
+  EXPECT_EQ(model->plan()->max_batch(), 32u);  // the default cap
+  ASSERT_TRUE(model->attach_plan(kMaxBatch));
+  model->detach_plan();
+  EXPECT_EQ(model->plan(), nullptr);
+  model->predict(samples[0]);
+  ASSERT_NE(model->plan(), nullptr);
+  EXPECT_EQ(model->plan()->max_batch(), kMaxBatch);
+}
+
+// The test keeps its original name so its history stays traceable. An
+// over-cap batch runs as cap-sized chunks through the plan (here 8 + 3),
+// which must reproduce row-by-row predict bit for bit.
 TEST_P(PlanOracle, OverCapBatchFallsBackToInterpreted) {
   ModelConfig cfg;
   const auto model = make_model(GetParam(), cfg);
+  ASSERT_TRUE(model->attach_plan(kMaxBatch));
   const std::size_t n = kMaxBatch + 3;
   const auto samples = make_samples(cfg, n, 53);
   std::vector<Prediction> ref(n);
-  model->predict_batch(samples.data(), n, ref.data());
-  ASSERT_TRUE(model->attach_plan(kMaxBatch));
+  for (std::size_t i = 0; i < n; ++i) ref[i] = model->predict(samples[i]);
   std::vector<Prediction> got(n);
   model->predict_batch(samples.data(), n, got.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(ref[i].steering, got[i].steering) << "row " << i;
-    EXPECT_EQ(ref[i].throttle, got[i].throttle) << "row " << i;
-  }
+  expect_same_predictions(ref, got);
+  EXPECT_EQ(model->plan()->max_batch(), kMaxBatch);
 }
 
 TEST_P(PlanOracle, AttachIsIdempotentForMatchingCap) {
@@ -150,25 +210,23 @@ TEST_P(PlanOracle, SaveLoadReattachKeepsBitwiseIdentity) {
   ModelConfig cfg;
   const auto model = make_model(GetParam(), cfg);
   const auto samples = make_samples(cfg, kMaxBatch, 61);
-  // Capture interpreted reference AFTER a save/load round-trip on a twin:
-  // the plan holds raw parameter pointers, so load() must recompile.
   std::ostringstream saved;
   model->save(saved);
   ASSERT_TRUE(model->attach_plan(kMaxBatch));
+  // The plan holds raw parameter pointers, so load() drops it and the
+  // next predict rebuilds it at the same cap.
   std::istringstream restore(saved.str());
-  model->load(restore);  // must reattach the plan against the new params
-  ASSERT_NE(model->plan(), nullptr);
-  EXPECT_EQ(model->plan()->max_batch(), kMaxBatch);
+  model->load(restore);
+  EXPECT_EQ(model->plan(), nullptr);
   const auto twin = make_model(GetParam(), cfg);
   std::istringstream restore2(saved.str());
   twin->load(restore2);
   std::vector<Prediction> ref(kMaxBatch), got(kMaxBatch);
   twin->predict_batch(samples.data(), kMaxBatch, ref.data());
   model->predict_batch(samples.data(), kMaxBatch, got.data());
-  for (std::size_t i = 0; i < kMaxBatch; ++i) {
-    EXPECT_EQ(ref[i].steering, got[i].steering) << "row " << i;
-    EXPECT_EQ(ref[i].throttle, got[i].throttle) << "row " << i;
-  }
+  ASSERT_NE(model->plan(), nullptr);
+  EXPECT_EQ(model->plan()->max_batch(), kMaxBatch);
+  expect_same_predictions(ref, got);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllZooModels, PlanOracle,

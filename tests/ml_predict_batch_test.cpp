@@ -1,9 +1,11 @@
-// Equivalence oracle for the batched-predict API redesign: for every model
-// in the six-type zoo, predict() must agree with predict_batch() — bitwise
-// at batch 1 (predict IS predict_batch of one), and row-for-row when a
-// whole batch runs as a single GEMM-backed forward.
+// Equivalence oracle for the batched-predict API: for every model in the
+// six-type zoo, predict() must agree with predict_batch() — bitwise at
+// batch 1 (predict IS predict_batch of one), and row-for-row when a whole
+// batch runs through the compiled plan, in one chunk or in several. Plus
+// the frame-size check every input path makes before staging.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "camera/image.hpp"
@@ -56,15 +58,20 @@ TEST_P(PredictBatchEquivalence, BatchOfOneIsBitwiseIdentical) {
 TEST_P(PredictBatchEquivalence, BatchedForwardMatchesPerSample) {
   ModelConfig cfg;
   const auto model = make_model(GetParam(), cfg);
-  const auto samples = make_samples(cfg, 7, 23);
-  std::vector<Prediction> batched(samples.size());
-  model->predict_batch(samples.data(), samples.size(), batched.data());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Prediction single = model->predict(samples[i]);
-    // Each batch row accumulates in the same order as the row-of-one
-    // forward, so the batched GEMM path reproduces per-sample results.
-    EXPECT_EQ(single.steering, batched[i].steering) << "row " << i;
-    EXPECT_EQ(single.throttle, batched[i].throttle) << "row " << i;
+  // 70 rows exceed the default plan cap of 32: they run as 32 + 32 + 6.
+  for (std::size_t n : {std::size_t{7}, std::size_t{70}}) {
+    const auto samples = make_samples(cfg, n, 23);
+    std::vector<Prediction> batched(n);
+    model->predict_batch(samples.data(), n, batched.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const Prediction single = model->predict(samples[i]);
+      // Each batch row accumulates in the same order as the row-of-one
+      // forward, so the batched GEMM path reproduces per-sample results.
+      EXPECT_EQ(single.steering, batched[i].steering)
+          << "row " << i << " n=" << n;
+      EXPECT_EQ(single.throttle, batched[i].throttle)
+          << "row " << i << " n=" << n;
+    }
   }
 }
 
@@ -75,6 +82,30 @@ TEST_P(PredictBatchEquivalence, EmptyBatchIsANoOp) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllZooModels, PredictBatchEquivalence,
+                         ::testing::ValuesIn(all_model_types()),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+class FrameSizeCheck : public ::testing::TestWithParam<ModelType> {};
+
+TEST_P(FrameSizeCheck, FrameOneColumnTooWideThrows) {
+  // A frame that does not match the model config must be rejected before
+  // it is copied: one column too wide would overrun the staged batch.
+  ModelConfig cfg;
+  const auto model = make_model(GetParam(), cfg);
+  ModelConfig wide = cfg;
+  ++wide.img_w;
+  const auto samples = make_samples(wide, 2, 31);
+  const std::vector<const Sample*> batch = {&samples[0], &samples[1]};
+  std::vector<Prediction> out(samples.size());
+  EXPECT_THROW(model->predict_batch(samples.data(), samples.size(), out.data()),
+               std::invalid_argument);
+  EXPECT_THROW(model->train_batch(batch), std::invalid_argument);
+  EXPECT_THROW(model->eval_batch(batch), std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllZooModels, FrameSizeCheck,
                          ::testing::ValuesIn(all_model_types()),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
