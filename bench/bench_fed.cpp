@@ -136,7 +136,7 @@ FedRun run_federation(const FedConfig& cfg) {
     network.add_host(car_name(i));
     network.add_duplex(car_name(i), "cloud", net::LinkSpec{});
   }
-  net::TransferManager transfers{network, queue, util::Rng(5), 2};
+  net::TransferManager transfers{network, queue, util::Rng(5)};
   objectstore::ObjectStore os;
   serve::ReplicatedRegistry registry{2};
 

@@ -347,7 +347,7 @@ int main(int argc, char** argv) {
       fed_net.add_duplex("car-0" + std::to_string(i), "cloud",
                          net::LinkSpec{});
     }
-    net::TransferManager transfers{fed_net, queue, util::Rng(seed + 2), 2};
+    net::TransferManager transfers{fed_net, queue, util::Rng(seed + 2)};
     objectstore::ObjectStore fed_blobs;
     serve::ReplicatedRegistry registry{2};
     registry.publish_all(std::shared_ptr<ml::DrivingModel>(

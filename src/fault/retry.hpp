@@ -34,7 +34,7 @@ struct RetryPolicy {
 
   /// Single attempt, no retries.
   static RetryPolicy none();
-  /// Legacy bare-counter behavior: `attempts` tries with zero backoff.
+  /// `attempts` tries with zero backoff (TransferManager's default).
   static RetryPolicy immediate(int attempts);
   /// Sensible default for simulated WAN operations.
   static RetryPolicy standard();

@@ -137,7 +137,7 @@ void FedOptions::validate() const {
     throw std::invalid_argument(
         "fed: delta_container/state_container/ckpt_key must be non-empty");
   }
-  if (canary_gate) canary.validate();
+  if (canary_gate) serve::throw_first_issue(canary);
 }
 
 Aggregator::Aggregator(util::EventQueue& queue,

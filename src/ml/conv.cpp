@@ -9,111 +9,165 @@
 namespace autolearn::ml {
 namespace {
 
-// ScratchArena slot ids shared by Conv2D and Conv3D. Both convolutions
-// run the same batched im2col + GEMM pipeline: the whole batch shares one
-// [CKK, N*P] patch matrix (sample i owns columns [i*P, (i+1)*P)), so the
-// forward pass is a single W[oc, CKK] @ col GEMM and the backward pass is
-// the two adjoint GEMMs — the batch reduction for dW happens inside the
-// GEMM k-loop, which is what keeps it deterministic under parallelism.
-constexpr std::size_t kSlotCol = 0;   // im2col patch matrix   [CKK, N*P]
+// ScratchArena slot ids. Every convolution runs the same batched vol2col +
+// GEMM pipeline: the whole batch shares one [CKK, N*P] patch matrix
+// (sample i owns columns [i*P, (i+1)*P)), so the forward pass is a single
+// W[oc, CKK] @ col GEMM and the backward pass is the two adjoint GEMMs —
+// the batch reduction for dW happens inside the GEMM k-loop, which is
+// what keeps it deterministic under parallelism.
+constexpr std::size_t kSlotCol = 0;   // patch matrix          [CKK, N*P]
 constexpr std::size_t kSlotOut = 1;   // batched output        [OC, N*P]
 constexpr std::size_t kSlotGrad = 2;  // gathered grad_out     [OC, N*P]
 constexpr std::size_t kSlotDcol = 3;  // grad patch matrix     [CKK, N*P]
 
-}  // namespace
-
-Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
-               std::size_t kernel, std::size_t stride, util::Rng& rng)
-    : ic_(in_channels),
-      oc_(out_channels),
-      k_(kernel),
-      stride_(stride),
-      w_(Tensor::randn({out_channels, in_channels, kernel, kernel}, rng,
-                       std::sqrt(2.0 / static_cast<double>(
-                                           in_channels * kernel * kernel)))),
-      b_(Tensor({out_channels}, 0.0f)) {
-  if (kernel == 0 || stride == 0 || in_channels == 0 || out_channels == 0) {
-    throw std::invalid_argument("Conv2D: zero parameter");
-  }
+const char* conv_name(const ConvGeometry& g) {
+  return g.depth_axis ? "conv3d" : "conv2d";
 }
 
-Tensor Conv2D::forward(const Tensor& x, bool /*train*/) {
-  if (x.rank() != 4 || x.dim(1) != ic_) {
-    throw std::invalid_argument("Conv2D: bad input shape " + x.shape_str());
+const ConvGeometry& checked(const ConvGeometry& g) {
+  if (g.in_channels == 0 || g.out_channels == 0 || g.kernel_d == 0 ||
+      g.kernel == 0 || g.stride_d == 0 || g.stride == 0) {
+    throw std::invalid_argument(std::string(conv_name(g)) +
+                                ": zero parameter");
   }
+  return g;
+}
+
+std::vector<std::size_t> weight_shape(const ConvGeometry& g) {
+  if (g.depth_axis) {
+    return {g.out_channels, g.in_channels, g.kernel_d, g.kernel, g.kernel};
+  }
+  return {g.out_channels, g.in_channels, g.kernel, g.kernel};
+}
+
+}  // namespace
+
+ConvGeometry::Volumes ConvGeometry::volumes(
+    const std::vector<std::size_t>& shape) const {
+  const std::size_t rank = depth_axis ? 5 : 4;
+  if (shape.size() != rank || shape[1] != in_channels) {
+    throw std::invalid_argument(
+        std::string(conv_name(*this)) + ": expected a rank-" +
+        std::to_string(rank) + " input with " + std::to_string(in_channels) +
+        " channels");
+  }
+  const std::size_t d = depth_axis ? shape[2] : 1;
+  const std::size_t h = shape[rank - 2], w = shape[rank - 1];
+  return {d,
+          h,
+          w,
+          Conv::out_dim(d, kernel_d, stride_d),
+          Conv::out_dim(h, kernel, stride),
+          Conv::out_dim(w, kernel, stride)};
+}
+
+std::vector<std::size_t> ConvGeometry::out_shape(std::size_t n,
+                                                 const Volumes& v) const {
+  if (depth_axis) return {n, out_channels, v.od, v.oh, v.ow};
+  return {n, out_channels, v.oh, v.ow};
+}
+
+void ConvGeometry::gather(const float* x, std::size_t n, const Volumes& v,
+                          float* col) const {
+  const std::size_t sample = in_channels * v.d * v.h * v.w;
+  const std::size_t p = v.positions(), np = n * p;
+  util::ThreadPool::shared().parallel_for_chunks(
+      0, n, [&](std::size_t n0, std::size_t n1) {
+        for (std::size_t i = n0; i < n1; ++i) {
+          vol2col(x + i * sample, in_channels, v.d, v.h, v.w, kernel_d,
+                  kernel, kernel, stride_d, stride, stride, col + i * p, np);
+        }
+      });
+}
+
+void ConvGeometry::scatter(const float* yall, const float* bias,
+                           std::size_t n, const Volumes& v, float* y) const {
+  const std::size_t p = v.positions(), np = n * p;
+  util::ThreadPool::shared().parallel_for_chunks(
+      0, n, [&](std::size_t n0, std::size_t n1) {
+        for (std::size_t i = n0; i < n1; ++i) {
+          for (std::size_t oc = 0; oc < out_channels; ++oc) {
+            const float* src = yall + oc * np + i * p;
+            float* dst = y + (i * out_channels + oc) * p;
+            const float b = bias[oc];
+            for (std::size_t q = 0; q < p; ++q) dst[q] = src[q] + b;
+          }
+        }
+      });
+}
+
+Conv::Conv(const ConvGeometry& g, util::Rng& rng)
+    : g_(checked(g)),
+      w_(Tensor::randn(weight_shape(g), rng,
+                       std::sqrt(2.0 /
+                                 static_cast<double>(g.patch_rows())))),
+      b_(Tensor({g.out_channels}, 0.0f)) {}
+
+std::string Conv::name() const { return conv_name(g_); }
+
+Tensor Conv::forward(const Tensor& x, bool /*train*/) {
+  const ConvGeometry::Volumes v = g_.volumes(x.shape());
   in_shape_ = x.shape();
-  const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::size_t oh = out_dim(h, k_, stride_), ow = out_dim(w, k_, stride_);
-  flops_ = 2ull * oc_ * oh * ow * ic_ * k_ * k_;
-  const std::size_t p = oh * ow, ckk = ic_ * k_ * k_, np = n * p;
+  flops_ = g_.flops(v);
+  const std::size_t n = x.dim(0), oc = g_.out_channels;
+  const std::size_t ckk = g_.patch_rows(), np = n * v.positions();
   float* col = scratch_.get(kSlotCol, ckk * np);
-  auto& pool = util::ThreadPool::shared();
-  pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
-    for (std::size_t i = n0; i < n1; ++i) {
-      im2col(x.data() + i * ic_ * h * w, ic_, h, w, k_, k_, stride_, stride_,
-             col + i * p, np);
-    }
-  });
+  g_.gather(x.data(), n, v, col);
   // One GEMM for the whole batch: Y[oc, N*P] = W[oc, CKK] @ col[CKK, N*P].
-  float* yall = scratch_.get(kSlotOut, oc_ * np);
-  sgemm(false, false, oc_, np, ckk, 1.0f, w_.value.data(), ckk, col, np,
-        0.0f, yall, np);
-  Tensor y({n, oc_, oh, ow});
-  const Tensor& bt = b_.value;
-  pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
-    for (std::size_t i = n0; i < n1; ++i) {
-      for (std::size_t oc = 0; oc < oc_; ++oc) {
-        const float* src = yall + oc * np + i * p;
-        float* dst = y.data() + (i * oc_ + oc) * p;
-        const float bias = bt[oc];
-        for (std::size_t q = 0; q < p; ++q) dst[q] = src[q] + bias;
-      }
-    }
-  });
+  float* yall = scratch_.get(kSlotOut, oc * np);
+  sgemm(false, false, oc, np, ckk, 1.0f, w_.value.data(), ckk, col, np, 0.0f,
+        yall, np);
+  Tensor y(g_.out_shape(n, v));
+  g_.scatter(yall, b_.value.data(), n, v, y.data());
   return y;
 }
 
-Tensor Conv2D::backward(const Tensor& grad_out) {
-  const std::size_t n = in_shape_[0], h = in_shape_[2], w = in_shape_[3];
-  const std::size_t oh = out_dim(h, k_, stride_), ow = out_dim(w, k_, stride_);
-  if (grad_out.rank() != 4 || grad_out.dim(0) != n || grad_out.dim(1) != oc_ ||
-      grad_out.dim(2) != oh || grad_out.dim(3) != ow) {
-    throw std::invalid_argument("Conv2D: bad grad shape");
+Tensor Conv::backward(const Tensor& grad_out) {
+  if (in_shape_.empty()) {
+    throw std::logic_error(name() + ": backward before forward");
   }
-  const std::size_t p = oh * ow, ckk = ic_ * k_ * k_, np = n * p;
+  const ConvGeometry::Volumes v = g_.volumes(in_shape_);
+  const std::size_t n = in_shape_[0], oc = g_.out_channels;
+  if (grad_out.shape() != g_.out_shape(n, v)) {
+    throw std::invalid_argument(name() + ": bad grad shape " +
+                                grad_out.shape_str());
+  }
+  const std::size_t p = v.positions(), ckk = g_.patch_rows(), np = n * p;
   auto& pool = util::ThreadPool::shared();
   // Gather grad_out into the batched [OC, N*P] layout matching col.
-  float* gall = scratch_.get(kSlotGrad, oc_ * np);
+  float* gall = scratch_.get(kSlotGrad, oc * np);
   pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
     for (std::size_t i = n0; i < n1; ++i) {
-      for (std::size_t oc = 0; oc < oc_; ++oc) {
-        std::memcpy(gall + oc * np + i * p,
-                    grad_out.data() + (i * oc_ + oc) * p, p * sizeof(float));
+      for (std::size_t o = 0; o < oc; ++o) {
+        std::memcpy(gall + o * np + i * p, grad_out.data() + (i * oc + o) * p,
+                    p * sizeof(float));
       }
     }
   });
   Tensor& db = b_.grad;
-  for (std::size_t oc = 0; oc < oc_; ++oc) {
-    const float* row = gall + oc * np;
+  for (std::size_t o = 0; o < oc; ++o) {
+    const float* row = gall + o * np;
     float acc = 0.0f;
     for (std::size_t q = 0; q < np; ++q) acc += row[q];
-    db[oc] += acc;
+    db[o] += acc;
   }
   // dW[oc, CKK] += G[oc, N*P] @ col[CKK, N*P]^T — the batch+position
   // reduction runs inside the GEMM k-loop (col is still valid from the
   // forward pass on this batch).
   float* col = scratch_.get(kSlotCol, ckk * np);
-  sgemm(false, true, oc_, ckk, np, 1.0f, gall, np, col, np, 1.0f,
+  sgemm(false, true, oc, ckk, np, 1.0f, gall, np, col, np, 1.0f,
         w_.grad.data(), ckk);
   // dcol[CKK, N*P] = W[oc, CKK]^T @ G[oc, N*P], scattered back per sample.
   float* dcol = scratch_.get(kSlotDcol, ckk * np);
-  sgemm(true, false, ckk, np, oc_, 1.0f, w_.value.data(), ckk, gall, np,
-        0.0f, dcol, np);
+  sgemm(true, false, ckk, np, oc, 1.0f, w_.value.data(), ckk, gall, np, 0.0f,
+        dcol, np);
   Tensor grad_in(in_shape_);
+  const std::size_t sample = g_.in_channels * v.d * v.h * v.w;
   pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
     for (std::size_t i = n0; i < n1; ++i) {
-      col2im(dcol + i * p, np, ic_, h, w, k_, k_, stride_, stride_,
-             grad_in.data() + i * ic_ * h * w);
+      col2vol(dcol + i * p, np, g_.in_channels, v.d, v.h, v.w, g_.kernel_d,
+              g_.kernel, g_.kernel, g_.stride_d, g_.stride, g_.stride,
+              grad_in.data() + i * sample);
     }
   });
   return grad_in;
@@ -164,107 +218,6 @@ Tensor MaxPool2D::backward(const Tensor& grad_out) {
   for (std::size_t i = 0; i < grad_out.size(); ++i) {
     grad_in[argmax_[i]] += grad_out[i];
   }
-  return grad_in;
-}
-
-Conv3D::Conv3D(std::size_t in_channels, std::size_t out_channels,
-               std::size_t kernel_d, std::size_t kernel, std::size_t stride_d,
-               std::size_t stride, util::Rng& rng)
-    : ic_(in_channels),
-      oc_(out_channels),
-      kd_(kernel_d),
-      k_(kernel),
-      stride_d_(stride_d),
-      stride_(stride),
-      w_(Tensor::randn(
-          {out_channels, in_channels, kernel_d, kernel, kernel}, rng,
-          std::sqrt(2.0 / static_cast<double>(in_channels * kernel_d *
-                                              kernel * kernel)))),
-      b_(Tensor({out_channels}, 0.0f)) {
-  if (kernel == 0 || kernel_d == 0 || stride == 0 || stride_d == 0) {
-    throw std::invalid_argument("Conv3D: zero parameter");
-  }
-}
-
-Tensor Conv3D::forward(const Tensor& x, bool /*train*/) {
-  if (x.rank() != 5 || x.dim(1) != ic_) {
-    throw std::invalid_argument("Conv3D: bad input shape " + x.shape_str());
-  }
-  in_shape_ = x.shape();
-  const std::size_t n = x.dim(0), d = x.dim(2), h = x.dim(3), w = x.dim(4);
-  const std::size_t od = Conv2D::out_dim(d, kd_, stride_d_);
-  const std::size_t oh = Conv2D::out_dim(h, k_, stride_);
-  const std::size_t ow = Conv2D::out_dim(w, k_, stride_);
-  flops_ = 2ull * oc_ * od * oh * ow * ic_ * kd_ * k_ * k_;
-  const std::size_t p = od * oh * ow, ckk = ic_ * kd_ * k_ * k_, np = n * p;
-  float* col = scratch_.get(kSlotCol, ckk * np);
-  auto& pool = util::ThreadPool::shared();
-  pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
-    for (std::size_t i = n0; i < n1; ++i) {
-      vol2col(x.data() + i * ic_ * d * h * w, ic_, d, h, w, kd_, k_, k_,
-              stride_d_, stride_, stride_, col + i * p, np);
-    }
-  });
-  float* yall = scratch_.get(kSlotOut, oc_ * np);
-  sgemm(false, false, oc_, np, ckk, 1.0f, w_.value.data(), ckk, col, np,
-        0.0f, yall, np);
-  Tensor y({n, oc_, od, oh, ow});
-  const Tensor& bt = b_.value;
-  pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
-    for (std::size_t i = n0; i < n1; ++i) {
-      for (std::size_t oc = 0; oc < oc_; ++oc) {
-        const float* src = yall + oc * np + i * p;
-        float* dst = y.data() + (i * oc_ + oc) * p;
-        const float bias = bt[oc];
-        for (std::size_t q = 0; q < p; ++q) dst[q] = src[q] + bias;
-      }
-    }
-  });
-  return y;
-}
-
-Tensor Conv3D::backward(const Tensor& grad_out) {
-  const std::size_t n = in_shape_[0], d = in_shape_[2], h = in_shape_[3],
-                    w = in_shape_[4];
-  const std::size_t od = Conv2D::out_dim(d, kd_, stride_d_);
-  const std::size_t oh = Conv2D::out_dim(h, k_, stride_);
-  const std::size_t ow = Conv2D::out_dim(w, k_, stride_);
-  if (grad_out.rank() != 5 || grad_out.dim(0) != n ||
-      grad_out.dim(1) != oc_ || grad_out.dim(2) != od ||
-      grad_out.dim(3) != oh || grad_out.dim(4) != ow) {
-    throw std::invalid_argument("Conv3D: bad grad shape");
-  }
-  const std::size_t p = od * oh * ow, ckk = ic_ * kd_ * k_ * k_, np = n * p;
-  auto& pool = util::ThreadPool::shared();
-  float* gall = scratch_.get(kSlotGrad, oc_ * np);
-  pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
-    for (std::size_t i = n0; i < n1; ++i) {
-      for (std::size_t oc = 0; oc < oc_; ++oc) {
-        std::memcpy(gall + oc * np + i * p,
-                    grad_out.data() + (i * oc_ + oc) * p, p * sizeof(float));
-      }
-    }
-  });
-  Tensor& db = b_.grad;
-  for (std::size_t oc = 0; oc < oc_; ++oc) {
-    const float* row = gall + oc * np;
-    float acc = 0.0f;
-    for (std::size_t q = 0; q < np; ++q) acc += row[q];
-    db[oc] += acc;
-  }
-  float* col = scratch_.get(kSlotCol, ckk * np);
-  sgemm(false, true, oc_, ckk, np, 1.0f, gall, np, col, np, 1.0f,
-        w_.grad.data(), ckk);
-  float* dcol = scratch_.get(kSlotDcol, ckk * np);
-  sgemm(true, false, ckk, np, oc_, 1.0f, w_.value.data(), ckk, gall, np,
-        0.0f, dcol, np);
-  Tensor grad_in(in_shape_);
-  pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
-    for (std::size_t i = n0; i < n1; ++i) {
-      col2vol(dcol + i * p, np, ic_, d, h, w, kd_, k_, k_, stride_d_, stride_,
-              stride_, grad_in.data() + i * ic_ * d * h * w);
-    }
-  });
   return grad_in;
 }
 

@@ -1,9 +1,15 @@
-// Convolution and pooling layers (valid padding, square kernels).
+// Convolution and pooling layers (valid padding, square spatial kernels).
 //
 // These mirror the DonkeyCar Keras models' conv stacks at reduced
-// resolution. Layout is channels-first: Conv2D takes [N, C, H, W]; Conv3D
-// takes [N, C, D, H, W] where D is the frame (time) axis of the "3D" model.
+// resolution. Layout is channels-first. One Conv layer convolves each
+// sample's [C, D, H, W] volume, where D is the frame (time) axis of the
+// "3D" model: Conv3D takes [N, C, D, H, W]. A 2-D conv is the depth-1 case:
+// Conv2D takes [N, C, H, W] and runs the same code with D = kernel_d =
+// stride_d = 1, so there is one forward, one backward and one lowering.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "ml/gemm.hpp"
 #include "ml/layer.hpp"
@@ -11,15 +17,53 @@
 
 namespace autolearn::ml {
 
-class Conv2D : public Layer {
- public:
-  Conv2D(std::size_t in_channels, std::size_t out_channels,
-         std::size_t kernel, std::size_t stride, util::Rng& rng);
+/// Everything about a convolution but its weights. A Conv owns one; its
+/// int8 twin (QuantConv) and the compiled plan's conv step copy it.
+struct ConvGeometry {
+  std::size_t in_channels = 0, out_channels = 0;
+  std::size_t kernel_d = 1, kernel = 0;  // depth extent, square spatial side
+  std::size_t stride_d = 1, stride = 0;
+  bool depth_axis = false;  // tensors carry D (Conv3D); else D == 1 (Conv2D)
 
+  /// One sample's input volume {d, h, w} and output volume {od, oh, ow}.
+  struct Volumes {
+    std::size_t d, h, w, od, oh, ow;
+    std::size_t positions() const { return od * oh * ow; }
+  };
+
+  /// Volumes of a batch shaped [N, C, (D,) H, W]. Throws
+  /// std::invalid_argument on a rank or channel mismatch or an input
+  /// smaller than the kernel.
+  Volumes volumes(const std::vector<std::size_t>& shape) const;
+  /// Output shape [N, OC, (OD,) OH, OW] of an n-sample batch.
+  std::vector<std::size_t> out_shape(std::size_t n, const Volumes& v) const;
+  /// Rows of the patch matrix: C * KD * K * K.
+  std::size_t patch_rows() const {
+    return in_channels * kernel_d * kernel * kernel;
+  }
+  std::uint64_t flops(const Volumes& v) const {
+    return 2ull * out_channels * v.positions() * patch_rows();
+  }
+
+  /// Batched vol2col of x [N, C, (D,) H, W] into col [CKK, N*P]: sample i
+  /// owns columns [i*P, (i+1)*P), so one GEMM covers the whole batch.
+  void gather(const float* x, std::size_t n, const Volumes& v,
+              float* col) const;
+  /// y [N, OC, P] = the GEMM output yall [OC, N*P] regrouped per sample,
+  /// plus the bias.
+  void scatter(const float* yall, const float* bias, std::size_t n,
+               const Volumes& v, float* y) const;
+};
+
+/// Valid convolution with an [OC, C, (KD,) K, K] kernel, lowered to one
+/// vol2col + GEMM per batch. Conv2D and Conv3D only construct it.
+class Conv : public Layer {
+ public:
   Tensor forward(const Tensor& x, bool train) override;
+  /// Throws std::logic_error when no forward ran before it.
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
-  std::string name() const override { return "conv2d"; }
+  std::string name() const override;
   std::uint64_t flops_per_sample() const override { return flops_; }
 
   static std::size_t out_dim(std::size_t in, std::size_t kernel,
@@ -30,29 +74,52 @@ class Conv2D : public Layer {
     return (in - kernel) / stride + 1;
   }
 
-  std::size_t in_channels() const { return ic_; }
-  std::size_t out_channels() const { return oc_; }
-  std::size_t kernel() const { return k_; }
-  std::size_t stride() const { return stride_; }
+  const ConvGeometry& geometry() const { return g_; }
+  const Tensor& weights() const { return w_.value; }
+  const Tensor& bias() const { return b_.value; }
 
   /// Plan-compile hook (ml/plan.hpp): sets the per-sample FLOP estimate
   /// from the input geometry without running a forward. The compiled path
   /// never calls forward, but serve pricing reads flops_per_sample.
-  void prime_flops(std::size_t h, std::size_t w) const {
-    flops_ = 2ull * oc_ * out_dim(h, k_, stride_) * out_dim(w, k_, stride_) *
-             ic_ * k_ * k_;
+  void prime_flops(const ConvGeometry::Volumes& v) const {
+    flops_ = g_.flops(v);
   }
 
+ protected:
+  /// He-initialised weights; throws std::invalid_argument when any size
+  /// or stride of `g` is zero.
+  Conv(const ConvGeometry& g, util::Rng& rng);
+
  private:
-  std::size_t ic_, oc_, k_, stride_;
+  ConvGeometry g_;
   Param w_, b_;
-  // Backward reads the input only through the im2col scratch (still valid
-  // from the forward pass), so only the shape is retained — no copy.
+  // Backward reads the input only through the vol2col scratch (still
+  // valid from the forward pass), so only the shape is retained — no copy.
   std::vector<std::size_t> in_shape_;
-  // im2col patch matrix, batched output, gathered gradient, and gradient
-  // patch matrix — reused across batches so the hot path never allocates.
+  // Patch matrix, batched output, gathered gradient and gradient patch
+  // matrix — reused across batches so the hot path never allocates.
   ScratchArena scratch_;
-  mutable std::uint64_t flops_ = 0;  // set on first forward (needs H, W)
+  mutable std::uint64_t flops_ = 0;  // set on first forward (needs D, H, W)
+};
+
+/// 2-D convolution of [N, C, H, W]: weights [OC, C, K, K].
+class Conv2D : public Conv {
+ public:
+  Conv2D(std::size_t in_channels, std::size_t out_channels,
+         std::size_t kernel, std::size_t stride, util::Rng& rng)
+      : Conv({in_channels, out_channels, 1, kernel, 1, stride, false}, rng) {}
+};
+
+/// 3-D convolution of [N, C, D, H, W]: weights [OC, C, KD, K, K].
+class Conv3D : public Conv {
+ public:
+  /// kernel_d along the frame axis; spatial kernel is square.
+  Conv3D(std::size_t in_channels, std::size_t out_channels,
+         std::size_t kernel_d, std::size_t kernel, std::size_t stride_d,
+         std::size_t stride, util::Rng& rng)
+      : Conv({in_channels, out_channels, kernel_d, kernel, stride_d, stride,
+              true},
+             rng) {}
 };
 
 /// 2x2 max pooling with stride 2.
@@ -65,41 +132,6 @@ class MaxPool2D : public Layer {
  private:
   std::vector<std::size_t> in_shape_;  // backward only needs the shape
   std::vector<std::size_t> argmax_;
-};
-
-class Conv3D : public Layer {
- public:
-  /// kernel_d along the frame axis; spatial kernel is square.
-  Conv3D(std::size_t in_channels, std::size_t out_channels,
-         std::size_t kernel_d, std::size_t kernel, std::size_t stride_d,
-         std::size_t stride, util::Rng& rng);
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::vector<Param*> params() override { return {&w_, &b_}; }
-  std::string name() const override { return "conv3d"; }
-  std::uint64_t flops_per_sample() const override { return flops_; }
-
-  std::size_t in_channels() const { return ic_; }
-  std::size_t out_channels() const { return oc_; }
-  std::size_t kernel_d() const { return kd_; }
-  std::size_t kernel() const { return k_; }
-  std::size_t stride_d() const { return stride_d_; }
-  std::size_t stride() const { return stride_; }
-
-  /// Plan-compile hook; see Conv2D::prime_flops.
-  void prime_flops(std::size_t d, std::size_t h, std::size_t w) const {
-    flops_ = 2ull * oc_ * Conv2D::out_dim(d, kd_, stride_d_) *
-             Conv2D::out_dim(h, k_, stride_) * Conv2D::out_dim(w, k_, stride_) *
-             ic_ * kd_ * k_ * k_;
-  }
-
- private:
-  std::size_t ic_, oc_, kd_, k_, stride_d_, stride_;
-  Param w_, b_;
-  std::vector<std::size_t> in_shape_;  // see Conv2D::in_shape_
-  ScratchArena scratch_;
-  mutable std::uint64_t flops_ = 0;
 };
 
 }  // namespace autolearn::ml

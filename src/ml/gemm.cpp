@@ -270,22 +270,16 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   }
 }
 
-void im2col(const float* x, std::size_t c, std::size_t h, std::size_t w,
-            std::size_t kh, std::size_t kw, std::size_t sh, std::size_t sw,
-            float* col, std::size_t col_stride) {
-  vol2col(x, c, 1, h, w, 1, kh, kw, 1, sh, sw, col, col_stride);
-}
+namespace {
 
-void col2im(const float* col, std::size_t col_stride, std::size_t c,
-            std::size_t h, std::size_t w, std::size_t kh, std::size_t kw,
-            std::size_t sh, std::size_t sw, float* x) {
-  col2vol(col, col_stride, c, 1, h, w, 1, kh, kw, 1, sh, sw, x);
-}
-
-void vol2col(const float* x, std::size_t c, std::size_t d, std::size_t h,
-             std::size_t w, std::size_t kd, std::size_t kh, std::size_t kw,
-             std::size_t sd, std::size_t sh, std::size_t sw, float* col,
-             std::size_t col_stride) {
+// The lowering loop nests, written once. vol2col/col2vol call them with
+// run-time sizes for a volume and with the depth sizes as the constant 1
+// for a 2-D image, so the depth loops of the hot 2-D case fold away.
+[[gnu::always_inline]] inline void vol2col_body(
+    const float* x, std::size_t c, std::size_t d, std::size_t h,
+    std::size_t w, std::size_t kd, std::size_t kh, std::size_t kw,
+    std::size_t sd, std::size_t sh, std::size_t sw, float* col,
+    std::size_t col_stride) {
   const std::size_t od = (d - kd) / sd + 1;
   const std::size_t oh = (h - kh) / sh + 1;
   const std::size_t ow = (w - kw) / sw + 1;
@@ -317,10 +311,11 @@ void vol2col(const float* x, std::size_t c, std::size_t d, std::size_t h,
       static_cast<std::uint64_t>(r) * od * oh * ow, std::memory_order_relaxed);
 }
 
-void col2vol(const float* col, std::size_t col_stride, std::size_t c,
-             std::size_t d, std::size_t h, std::size_t w, std::size_t kd,
-             std::size_t kh, std::size_t kw, std::size_t sd, std::size_t sh,
-             std::size_t sw, float* x) {
+[[gnu::always_inline]] inline void col2vol_body(
+    const float* col, std::size_t col_stride, std::size_t c, std::size_t d,
+    std::size_t h, std::size_t w, std::size_t kd, std::size_t kh,
+    std::size_t kw, std::size_t sd, std::size_t sh, std::size_t sw,
+    float* x) {
   const std::size_t od = (d - kd) / sd + 1;
   const std::size_t oh = (h - kh) / sh + 1;
   const std::size_t ow = (w - kw) / sw + 1;
@@ -347,6 +342,30 @@ void col2vol(const float* col, std::size_t col_stride, std::size_t c,
   }
   g_col2im_elems.fetch_add(
       static_cast<std::uint64_t>(r) * od * oh * ow, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+void vol2col(const float* x, std::size_t c, std::size_t d, std::size_t h,
+             std::size_t w, std::size_t kd, std::size_t kh, std::size_t kw,
+             std::size_t sd, std::size_t sh, std::size_t sw, float* col,
+             std::size_t col_stride) {
+  if (d == 1 && kd == 1) {
+    vol2col_body(x, c, 1, h, w, 1, kh, kw, 1, sh, sw, col, col_stride);
+  } else {
+    vol2col_body(x, c, d, h, w, kd, kh, kw, sd, sh, sw, col, col_stride);
+  }
+}
+
+void col2vol(const float* col, std::size_t col_stride, std::size_t c,
+             std::size_t d, std::size_t h, std::size_t w, std::size_t kd,
+             std::size_t kh, std::size_t kw, std::size_t sd, std::size_t sh,
+             std::size_t sw, float* x) {
+  if (d == 1 && kd == 1) {
+    col2vol_body(col, col_stride, c, 1, h, w, 1, kh, kw, 1, sh, sw, x);
+  } else {
+    col2vol_body(col, col_stride, c, d, h, w, kd, kh, kw, sd, sh, sw, x);
+  }
 }
 
 KernelCounters kernel_counters() {

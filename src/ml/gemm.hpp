@@ -1,7 +1,7 @@
 // The matmul backbone of the ml module: a cache-blocked, register-tiled
-// single-precision GEMM plus the im2col/col2im lowering helpers that turn
-// convolution into matrix multiplication (the standard cuDNN-style
-// lowering, here on CPU).
+// single-precision GEMM plus the vol2col/col2vol lowering helpers that
+// turn convolution into matrix multiplication (the standard cuDNN-style
+// im2col lowering, here on CPU, over a depth axis as well).
 //
 // All matrices are row-major with explicit leading dimensions, so views
 // into larger buffers (e.g. one time-step slice of an [N, T, D] tensor)
@@ -33,36 +33,30 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            const float* b, std::size_t ldb, float beta, float* c,
            std::size_t ldc, bool parallel = true);
 
-/// im2col for valid (unpadded) convolution, channels-first layout.
-/// x: one image [C, H, W]. Writes the patch matrix with one row per
-/// kernel tap (row index (ic*KH + ky)*KW + kx, matching a flattened
-/// [OC, C, KH, KW] weight tensor) and one column per output position
-/// (oy*OW + ox). Row r of the patch matrix starts at col + r*col_stride,
-/// so a whole batch can share one [C*KH*KW, N*OH*OW] matrix with each
-/// sample occupying a disjoint column band.
-void im2col(const float* x, std::size_t c, std::size_t h, std::size_t w,
-            std::size_t kh, std::size_t kw, std::size_t sh, std::size_t sw,
-            float* col, std::size_t col_stride);
-
-/// Adjoint of im2col: accumulates the patch matrix back into the image
-/// (x must be zeroed by the caller first). Overlapping windows sum.
-void col2im(const float* col, std::size_t col_stride, std::size_t c,
-            std::size_t h, std::size_t w, std::size_t kh, std::size_t kw,
-            std::size_t sh, std::size_t sw, float* x);
-
-/// 3D (depth/frame axis) variants for Conv3D: volume [C, D, H, W], row
-/// index ((ic*KD + kz)*KH + ky)*KW + kx, column index (oz*OH + oy)*OW + ox.
+/// vol2col for valid (unpadded) convolution, channels-first layout.
+/// x: one volume [C, D, H, W]; a 2-D image is the d = kd = 1 case. Writes
+/// the patch matrix with one row per kernel tap (row index
+/// ((ic*KD + kz)*KH + ky)*KW + kx, matching a flattened [OC, C, KD, KH, KW]
+/// weight tensor) and one column per output position
+/// ((oz*OH + oy)*OW + ox). Row r of the patch matrix starts at
+/// col + r*col_stride, so a whole batch can share one
+/// [C*KD*KH*KW, N*OD*OH*OW] matrix with each sample occupying a disjoint
+/// column band. Depth-1 calls (d == kd == 1, every 2-D conv) run a copy
+/// of the loops with the depth sizes folded to the constant 1.
 void vol2col(const float* x, std::size_t c, std::size_t d, std::size_t h,
              std::size_t w, std::size_t kd, std::size_t kh, std::size_t kw,
              std::size_t sd, std::size_t sh, std::size_t sw, float* col,
              std::size_t col_stride);
+
+/// Adjoint of vol2col: accumulates the patch matrix back into the volume
+/// (x must be zeroed by the caller first). Overlapping windows sum.
 void col2vol(const float* col, std::size_t col_stride, std::size_t c,
              std::size_t d, std::size_t h, std::size_t w, std::size_t kd,
              std::size_t kh, std::size_t kw, std::size_t sd, std::size_t sh,
              std::size_t sw, float* x);
 
 /// Reusable scratch buffers for the layer hot paths: capacity only grows,
-/// so after the first batch the im2col/GEMM pipeline performs no
+/// so after the first batch the vol2col/GEMM pipeline performs no
 /// allocation. Slots are caller-defined small integers (one per distinct
 /// buffer a layer needs).
 class ScratchArena {
@@ -86,8 +80,8 @@ class ScratchArena {
 struct KernelCounters {
   std::uint64_t gemm_calls = 0;
   std::uint64_t gemm_flops = 0;     // 2*m*n*k per call
-  std::uint64_t im2col_elems = 0;   // patch-matrix elements written
-  std::uint64_t col2im_elems = 0;   // patch-matrix elements accumulated
+  std::uint64_t im2col_elems = 0;   // patch-matrix elements vol2col wrote
+  std::uint64_t col2im_elems = 0;   // patch-matrix elements col2vol summed
   std::uint64_t qgemm_calls = 0;    // int8 GEMM calls (quant.hpp)
   std::uint64_t qgemm_ops = 0;      // 2*m*n*k integer MACs per qgemm call
 };

@@ -25,7 +25,7 @@ class LSTM : public Layer {
   std::size_t hidden_size() const { return h_; }
   std::size_t input_size() const { return d_; }
 
-  /// Plan-compile hook; see Conv2D::prime_flops.
+  /// Plan-compile hook; see Conv::prime_flops.
   void prime_flops(std::size_t t_len) const {
     flops_ = 2ull * t_len * 4 * h_ * (d_ + h_);
   }

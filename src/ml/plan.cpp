@@ -32,16 +32,12 @@ std::size_t bytes_as_floats(std::size_t bytes) { return ceil_div(bytes, 4); }
 // Contexts for the allocation-free parallel regions. The runners are
 // capture-less lambdas (decay to function pointers) so the hot path never
 // touches std::function.
-struct Im2ColCtx {
-  const float* x;
-  float* col;
-  std::size_t c, h, w, k, stride, p, np, chw;
-};
-
 struct Vol2ColCtx {
   const float* x;
   float* col;
-  std::size_t c, d, h, w, kd, k, sd, s, p, np, cdhw;
+  const ConvGeometry& g;
+  const ConvGeometry::Volumes& v;
+  std::size_t p, np;
 };
 
 struct BiasScatterCtx {
@@ -74,32 +70,25 @@ const auto run_bias_scatter = +[](void* pv, std::size_t n0, std::size_t n1) {
   }
 };
 
-const auto run_im2col = +[](void* pv, std::size_t n0, std::size_t n1) {
-  const auto& c = *static_cast<const Im2ColCtx*>(pv);
-  for (std::size_t i = n0; i < n1; ++i) {
-    im2col(c.x + i * c.chw, c.c, c.h, c.w, c.k, c.k, c.stride, c.stride,
-           c.col + i * c.p, c.np);
-  }
-};
-
 const auto run_vol2col = +[](void* pv, std::size_t n0, std::size_t n1) {
   const auto& c = *static_cast<const Vol2ColCtx*>(pv);
+  const ConvGeometry& g = c.g;
+  const ConvGeometry::Volumes& v = c.v;
+  const std::size_t sample = g.in_channels * v.d * v.h * v.w;
   for (std::size_t i = n0; i < n1; ++i) {
-    vol2col(c.x + i * c.cdhw, c.c, c.d, c.h, c.w, c.kd, c.k, c.k, c.sd, c.s,
-            c.s, c.col + i * c.p, c.np);
+    vol2col(c.x + i * sample, g.in_channels, v.d, v.h, v.w, g.kernel_d,
+            g.kernel, g.kernel, g.stride_d, g.stride, g.stride,
+            c.col + i * c.p, c.np);
   }
 };
 
 enum class Op {
-  Conv2d,
-  Conv3d,
+  Conv,   // fp32, or int8 when the step carries quantized weights
   Dense,
   Lstm,
   Relu,   // standalone in-place (fused forms never reach here)
   Tanh,   // in-place
   QuantDense,
-  QuantConv2d,
-  QuantConv3d,
 };
 
 struct Step {
@@ -117,9 +106,8 @@ struct Step {
   const ActQuant* xq = nullptr;
 
   // Geometry (per-row / per-sample).
-  std::size_t ic = 0, oc = 0, k = 0, stride = 0, kd = 0, stride_d = 0;
-  std::size_t h = 0, w_dim = 0, d_dim = 0;
-  std::size_t p = 0, ckk = 0;       // conv: out positions, patch rows
+  ConvGeometry conv{};              // conv
+  ConvGeometry::Volumes vol{};      // conv: input and output volume
   std::size_t in_f = 0, out_f = 0;  // dense/quantdense; lstm: D, H
   std::size_t t_len = 0;            // lstm
 };
@@ -197,71 +185,40 @@ void CompiledNet::Impl::compile(Sequential& net,
       return true;
     };
 
-    if (auto* conv = dynamic_cast<Conv2D*>(&layer)) {
-      if (shape.size() != 3 || shape[0] != conv->in_channels() ||
-          shape[1] < conv->kernel() || shape[2] < conv->kernel()) {
-        throw bad_shape("conv2d input mismatch");
-      }
-      const std::size_t h = shape[1], w = shape[2];
-      const std::size_t oh = Conv2D::out_dim(h, conv->kernel(), conv->stride());
-      const std::size_t ow = Conv2D::out_dim(w, conv->kernel(), conv->stride());
-      conv->prime_flops(h, w);
+    const auto* conv = dynamic_cast<const Conv*>(&layer);
+    const auto* qconv = dynamic_cast<const QuantConv*>(&layer);
+    if (conv != nullptr || qconv != nullptr) {
       Step s{};
-      s.op = Op::Conv2d;
-      s.ic = conv->in_channels();
-      s.oc = conv->out_channels();
-      s.k = conv->kernel();
-      s.stride = conv->stride();
-      s.h = h;
-      s.w_dim = w;
-      s.p = oh * ow;
-      s.ckk = s.ic * s.k * s.k;
-      const auto params = conv->params();
-      s.w = params[0]->value.data();
-      s.bias = params[1]->value.data();
+      s.op = Op::Conv;
+      s.conv = conv != nullptr ? conv->geometry() : qconv->geometry();
+      std::vector<std::size_t> row_shape = shape;  // [1, C, (D,) H, W]
+      row_shape.insert(row_shape.begin(), 1);
+      try {
+        s.vol = s.conv.volumes(row_shape);
+      } catch (const std::invalid_argument&) {
+        throw bad_shape(layer.name() + " input mismatch");
+      }
+      const std::size_t ckk = s.conv.patch_rows(), p = s.vol.positions();
+      if (conv != nullptr) {
+        conv->prime_flops(s.vol);
+        s.w = conv->weights().data();
+      } else {
+        qconv->prime_flops(s.vol);
+        s.qw = &qconv->quantized();
+        s.xq = &qconv->input_quant();
+      }
+      s.bias = layer.params()[1]->value.data();
       s.fuse_relu = fuse_next_relu();
       s.in = cur;
       values[cur].last_use = si;
-      s.scr0 = add_value(s.ckk * s.p, si, si);  // im2col patch cols
-      s.scr1 = add_value(s.oc * s.p, si, si);   // batched GEMM out
-      s.out = cur = add_value(s.oc * s.p, si, si);
-      shape = {s.oc, oh, ow};
-      steps.push_back(s);
-    } else if (auto* conv3 = dynamic_cast<Conv3D*>(&layer)) {
-      if (shape.size() != 4 || shape[0] != conv3->in_channels() ||
-          shape[1] < conv3->kernel_d() || shape[2] < conv3->kernel() ||
-          shape[3] < conv3->kernel()) {
-        throw bad_shape("conv3d input mismatch");
+      s.scr0 = add_value(ckk * p, si, si);  // float patch matrix
+      if (s.qw != nullptr) {
+        s.scr1 = add_value(bytes_as_floats(ckk * p), si, si);  // q(col)
       }
-      const std::size_t d = shape[1], h = shape[2], w = shape[3];
-      const std::size_t od =
-          Conv2D::out_dim(d, conv3->kernel_d(), conv3->stride_d());
-      const std::size_t oh = Conv2D::out_dim(h, conv3->kernel(), conv3->stride());
-      const std::size_t ow = Conv2D::out_dim(w, conv3->kernel(), conv3->stride());
-      conv3->prime_flops(d, h, w);
-      Step s{};
-      s.op = Op::Conv3d;
-      s.ic = conv3->in_channels();
-      s.oc = conv3->out_channels();
-      s.kd = conv3->kernel_d();
-      s.k = conv3->kernel();
-      s.stride_d = conv3->stride_d();
-      s.stride = conv3->stride();
-      s.d_dim = d;
-      s.h = h;
-      s.w_dim = w;
-      s.p = od * oh * ow;
-      s.ckk = s.ic * s.kd * s.k * s.k;
-      const auto params = conv3->params();
-      s.w = params[0]->value.data();
-      s.bias = params[1]->value.data();
-      s.fuse_relu = fuse_next_relu();
-      s.in = cur;
-      values[cur].last_use = si;
-      s.scr0 = add_value(s.ckk * s.p, si, si);
-      s.scr1 = add_value(s.oc * s.p, si, si);
-      s.out = cur = add_value(s.oc * s.p, si, si);
-      shape = {s.oc, od, oh, ow};
+      s.scr2 = add_value(s.conv.out_channels * p, si, si);  // GEMM out
+      s.out = cur = add_value(s.conv.out_channels * p, si, si);
+      shape = s.conv.out_shape(1, s.vol);
+      shape.erase(shape.begin());
       steps.push_back(s);
     } else if (auto* dense = dynamic_cast<Dense*>(&layer)) {
       if (elems(shape) != dense->in_features()) {
@@ -321,76 +278,6 @@ void CompiledNet::Impl::compile(Sequential& net,
       s.scr1 = add_value(s.out_f, si, si);                  // y^T
       s.out = cur = add_value(s.out_f, si, si);
       shape = {s.out_f};
-      steps.push_back(s);
-    } else if (auto* qconv = dynamic_cast<QuantConv2D*>(&layer)) {
-      if (shape.size() != 3 || shape[0] != qconv->in_channels() ||
-          shape[1] < qconv->kernel() || shape[2] < qconv->kernel()) {
-        throw bad_shape("qconv2d input mismatch");
-      }
-      const std::size_t h = shape[1], w = shape[2];
-      const std::size_t oh = Conv2D::out_dim(h, qconv->kernel(), qconv->stride());
-      const std::size_t ow = Conv2D::out_dim(w, qconv->kernel(), qconv->stride());
-      qconv->prime_flops(h, w);
-      Step s{};
-      s.op = Op::QuantConv2d;
-      s.ic = qconv->in_channels();
-      s.oc = qconv->out_channels();
-      s.k = qconv->kernel();
-      s.stride = qconv->stride();
-      s.h = h;
-      s.w_dim = w;
-      s.p = oh * ow;
-      s.ckk = s.ic * s.k * s.k;
-      s.qw = &qconv->quantized();
-      s.xq = &qconv->input_quant();
-      s.bias = qconv->params()[1]->value.data();
-      s.fuse_relu = fuse_next_relu();
-      s.in = cur;
-      values[cur].last_use = si;
-      s.scr0 = add_value(s.ckk * s.p, si, si);                  // float col
-      s.scr1 = add_value(bytes_as_floats(s.ckk * s.p), si, si); // q(col)
-      s.scr2 = add_value(s.oc * s.p, si, si);                   // GEMM out
-      s.out = cur = add_value(s.oc * s.p, si, si);
-      shape = {s.oc, oh, ow};
-      steps.push_back(s);
-    } else if (auto* qconv3 = dynamic_cast<QuantConv3D*>(&layer)) {
-      if (shape.size() != 4 || shape[0] != qconv3->in_channels() ||
-          shape[1] < qconv3->kernel_d() || shape[2] < qconv3->kernel() ||
-          shape[3] < qconv3->kernel()) {
-        throw bad_shape("qconv3d input mismatch");
-      }
-      const std::size_t d = shape[1], h = shape[2], w = shape[3];
-      const std::size_t od =
-          Conv2D::out_dim(d, qconv3->kernel_d(), qconv3->stride_d());
-      const std::size_t oh =
-          Conv2D::out_dim(h, qconv3->kernel(), qconv3->stride());
-      const std::size_t ow =
-          Conv2D::out_dim(w, qconv3->kernel(), qconv3->stride());
-      qconv3->prime_flops(d, h, w);
-      Step s{};
-      s.op = Op::QuantConv3d;
-      s.ic = qconv3->in_channels();
-      s.oc = qconv3->out_channels();
-      s.kd = qconv3->kernel_d();
-      s.k = qconv3->kernel();
-      s.stride_d = qconv3->stride_d();
-      s.stride = qconv3->stride();
-      s.d_dim = d;
-      s.h = h;
-      s.w_dim = w;
-      s.p = od * oh * ow;
-      s.ckk = s.ic * s.kd * s.k * s.k;
-      s.qw = &qconv3->quantized();
-      s.xq = &qconv3->input_quant();
-      s.bias = qconv3->params()[1]->value.data();
-      s.fuse_relu = fuse_next_relu();
-      s.in = cur;
-      values[cur].last_use = si;
-      s.scr0 = add_value(s.ckk * s.p, si, si);
-      s.scr1 = add_value(bytes_as_floats(s.ckk * s.p), si, si);
-      s.scr2 = add_value(s.oc * s.p, si, si);
-      s.out = cur = add_value(s.oc * s.p, si, si);
-      shape = {s.oc, od, oh, ow};
       steps.push_back(s);
     } else if (dynamic_cast<ReLU*>(&layer) != nullptr) {
       // Only reached when the producer was not fusable (e.g. after a
@@ -495,41 +382,22 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
 
   for (const Step& s : steps) {
     switch (s.op) {
-      case Op::Conv2d: {
-        const std::size_t np = n * s.p;
+      case Op::Conv: {
+        const std::size_t oc = s.conv.out_channels, ckk = s.conv.patch_rows();
+        const std::size_t p = s.vol.positions(), np = n * p;
         float* col = at(s.scr0);
-        Im2ColCtx ic{src_of(s.in), col,          s.ic, s.h,
-                     s.w_dim,      s.k,          s.stride, s.p,
-                     np,           s.ic * s.h * s.w_dim};
-        pool.parallel_for_chunks_raw(0, n, run_im2col, &ic);
-        float* yall = at(s.scr1);
-        sgemm(false, false, s.oc, np, s.ckk, 1.0f, s.w, s.ckk, col, np, 0.0f,
-              yall, np);
-        BiasScatterCtx bc{yall, at(s.out), s.bias, s.oc, s.p, np, s.fuse_relu};
-        pool.parallel_for_chunks_raw(0, n, run_bias_scatter, &bc);
-        break;
-      }
-      case Op::Conv3d: {
-        const std::size_t np = n * s.p;
-        float* col = at(s.scr0);
-        Vol2ColCtx vc{src_of(s.in),
-                      col,
-                      s.ic,
-                      s.d_dim,
-                      s.h,
-                      s.w_dim,
-                      s.kd,
-                      s.k,
-                      s.stride_d,
-                      s.stride,
-                      s.p,
-                      np,
-                      s.ic * s.d_dim * s.h * s.w_dim};
+        Vol2ColCtx vc{src_of(s.in), col, s.conv, s.vol, p, np};
         pool.parallel_for_chunks_raw(0, n, run_vol2col, &vc);
-        float* yall = at(s.scr1);
-        sgemm(false, false, s.oc, np, s.ckk, 1.0f, s.w, s.ckk, col, np, 0.0f,
-              yall, np);
-        BiasScatterCtx bc{yall, at(s.out), s.bias, s.oc, s.p, np, s.fuse_relu};
+        float* yall = at(s.scr2);
+        if (s.qw == nullptr) {
+          sgemm(false, false, oc, np, ckk, 1.0f, s.w, ckk, col, np, 0.0f,
+                yall, np);
+        } else {
+          auto* qcol = reinterpret_cast<std::uint8_t*>(at(s.scr1));
+          quantize_activations(col, ckk * np, *s.xq, qcol);
+          qgemm(*s.qw, qcol, np, *s.xq, yall, np);
+        }
+        BiasScatterCtx bc{yall, at(s.out), s.bias, oc, p, np, s.fuse_relu};
         pool.parallel_for_chunks_raw(0, n, run_bias_scatter, &bc);
         break;
       }
@@ -620,46 +488,6 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
             yr[o] = s.fuse_relu ? (t > 0.0f ? t : 0.0f) : t;
           }
         }
-        break;
-      }
-      case Op::QuantConv2d: {
-        const std::size_t np = n * s.p;
-        float* col = at(s.scr0);
-        Im2ColCtx ic{src_of(s.in), col,          s.ic, s.h,
-                     s.w_dim,      s.k,          s.stride, s.p,
-                     np,           s.ic * s.h * s.w_dim};
-        pool.parallel_for_chunks_raw(0, n, run_im2col, &ic);
-        auto* qcol = reinterpret_cast<std::uint8_t*>(at(s.scr1));
-        quantize_activations(col, s.ckk * np, *s.xq, qcol);
-        float* yall = at(s.scr2);
-        qgemm(*s.qw, qcol, np, *s.xq, yall, np);
-        BiasScatterCtx bc{yall, at(s.out), s.bias, s.oc, s.p, np, s.fuse_relu};
-        pool.parallel_for_chunks_raw(0, n, run_bias_scatter, &bc);
-        break;
-      }
-      case Op::QuantConv3d: {
-        const std::size_t np = n * s.p;
-        float* col = at(s.scr0);
-        Vol2ColCtx vc{src_of(s.in),
-                      col,
-                      s.ic,
-                      s.d_dim,
-                      s.h,
-                      s.w_dim,
-                      s.kd,
-                      s.k,
-                      s.stride_d,
-                      s.stride,
-                      s.p,
-                      np,
-                      s.ic * s.d_dim * s.h * s.w_dim};
-        pool.parallel_for_chunks_raw(0, n, run_vol2col, &vc);
-        auto* qcol = reinterpret_cast<std::uint8_t*>(at(s.scr1));
-        quantize_activations(col, s.ckk * np, *s.xq, qcol);
-        float* yall = at(s.scr2);
-        qgemm(*s.qw, qcol, np, *s.xq, yall, np);
-        BiasScatterCtx bc{yall, at(s.out), s.bias, s.oc, s.p, np, s.fuse_relu};
-        pool.parallel_for_chunks_raw(0, n, run_bias_scatter, &bc);
         break;
       }
     }

@@ -4,7 +4,7 @@
 // Sequential::forward, which training runs, walks the layers one by one,
 // with every layer allocating its output Tensor (and often scratch) per
 // batch. CompiledNet does that walk ONCE: compile() lowers the layer list
-// into a flat step program (im2col + GEMM + fused bias/ReLU epilogues for
+// into a flat step program (vol2col + GEMM + fused bias/ReLU epilogues for
 // the conv stacks, gate GEMMs onto preallocated scratch for the LSTM,
 // packed int8 steps for the quantized twins), runs a liveness analysis
 // over every intermediate buffer, and first-fit assigns them into ONE

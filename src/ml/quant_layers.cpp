@@ -2,13 +2,10 @@
 
 #include <stdexcept>
 
-#include "ml/conv.hpp"
-#include "util/thread_pool.hpp"
-
 namespace autolearn::ml {
 namespace {
 
-// ScratchArena slots, mirroring Conv2D/Conv3D.
+// ScratchArena slots, mirroring Conv.
 constexpr std::size_t kSlotCol = 0;  // float patch matrix  [CKK, N*P]
 constexpr std::size_t kSlotOut = 1;  // batched GEMM output [OC, N*P]
 
@@ -59,138 +56,30 @@ Tensor QuantDense::forward(const Tensor& x, bool /*train*/) {
 
 Tensor QuantDense::backward(const Tensor& /*grad_out*/) { frozen("QuantDense"); }
 
-QuantConv2D::QuantConv2D(std::size_t in_channels, std::size_t out_channels,
-                         std::size_t kernel, std::size_t stride,
-                         const Tensor& w, const Tensor& b, ActQuant xq)
-    : ic_(in_channels),
-      oc_(out_channels),
-      k_(kernel),
-      stride_(stride),
-      w_(w),
-      b_(b),
-      qw_(quantize_weights(w.data(), out_channels,
-                           in_channels * kernel * kernel)),
-      xq_(xq) {
-  if (w.rank() != 4 || w.dim(0) != oc_ || w.dim(1) != ic_ || w.dim(2) != k_ ||
-      w.dim(3) != k_ || b.rank() != 1 || b.dim(0) != oc_) {
-    throw std::invalid_argument("QuantConv2D: bad weight/bias shape");
-  }
-}
+QuantConv::QuantConv(const Conv& conv, ActQuant xq)
+    : g_(conv.geometry()),
+      w_(conv.weights()),
+      b_(conv.bias()),
+      qw_(quantize_weights(conv.weights().data(), g_.out_channels,
+                           g_.patch_rows())),
+      xq_(xq) {}
 
-Tensor QuantConv2D::forward(const Tensor& x, bool /*train*/) {
-  if (x.rank() != 4 || x.dim(1) != ic_) {
-    throw std::invalid_argument("QuantConv2D: bad input shape " +
-                                x.shape_str());
-  }
-  const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::size_t oh = Conv2D::out_dim(h, k_, stride_);
-  const std::size_t ow = Conv2D::out_dim(w, k_, stride_);
-  flops_ = 2ull * oc_ * oh * ow * ic_ * k_ * k_;
-  const std::size_t p = oh * ow, ckk = ic_ * k_ * k_, np = n * p;
+Tensor QuantConv::forward(const Tensor& x, bool /*train*/) {
+  const ConvGeometry::Volumes v = g_.volumes(x.shape());
+  flops_ = g_.flops(v);
+  const std::size_t n = x.dim(0), ckk = g_.patch_rows();
+  const std::size_t np = n * v.positions();
   float* col = scratch_.get(kSlotCol, ckk * np);
-  auto& pool = util::ThreadPool::shared();
-  pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
-    for (std::size_t i = n0; i < n1; ++i) {
-      im2col(x.data() + i * ic_ * h * w, ic_, h, w, k_, k_, stride_, stride_,
-             col + i * p, np);
-    }
-  });
+  g_.gather(x.data(), n, v, col);
   if (qcol_.size() < ckk * np) qcol_.resize(ckk * np);
   quantize_activations(col, ckk * np, xq_, qcol_.data());
-  float* yall = scratch_.get(kSlotOut, oc_ * np);
+  float* yall = scratch_.get(kSlotOut, g_.out_channels * np);
   qgemm(qw_, qcol_.data(), np, xq_, yall, np);
-  Tensor y({n, oc_, oh, ow});
-  const Tensor& bt = b_.value;
-  pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
-    for (std::size_t i = n0; i < n1; ++i) {
-      for (std::size_t oc = 0; oc < oc_; ++oc) {
-        const float* src = yall + oc * np + i * p;
-        float* dst = y.data() + (i * oc_ + oc) * p;
-        const float bias = bt[oc];
-        for (std::size_t q = 0; q < p; ++q) dst[q] = src[q] + bias;
-      }
-    }
-  });
+  Tensor y(g_.out_shape(n, v));
+  g_.scatter(yall, b_.value.data(), n, v, y.data());
   return y;
 }
 
-Tensor QuantConv2D::backward(const Tensor& /*grad_out*/) {
-  frozen("QuantConv2D");
-}
-
-void QuantConv2D::prime_flops(std::size_t h, std::size_t w) const {
-  flops_ = 2ull * oc_ * Conv2D::out_dim(h, k_, stride_) *
-           Conv2D::out_dim(w, k_, stride_) * ic_ * k_ * k_;
-}
-
-QuantConv3D::QuantConv3D(std::size_t in_channels, std::size_t out_channels,
-                         std::size_t kernel_d, std::size_t kernel,
-                         std::size_t stride_d, std::size_t stride,
-                         const Tensor& w, const Tensor& b, ActQuant xq)
-    : ic_(in_channels),
-      oc_(out_channels),
-      kd_(kernel_d),
-      k_(kernel),
-      stride_d_(stride_d),
-      stride_(stride),
-      w_(w),
-      b_(b),
-      qw_(quantize_weights(w.data(), out_channels,
-                           in_channels * kernel_d * kernel * kernel)),
-      xq_(xq) {
-  if (w.rank() != 5 || w.dim(0) != oc_ || w.dim(1) != ic_ || w.dim(2) != kd_ ||
-      w.dim(3) != k_ || w.dim(4) != k_ || b.rank() != 1 || b.dim(0) != oc_) {
-    throw std::invalid_argument("QuantConv3D: bad weight/bias shape");
-  }
-}
-
-Tensor QuantConv3D::forward(const Tensor& x, bool /*train*/) {
-  if (x.rank() != 5 || x.dim(1) != ic_) {
-    throw std::invalid_argument("QuantConv3D: bad input shape " +
-                                x.shape_str());
-  }
-  const std::size_t n = x.dim(0), d = x.dim(2), h = x.dim(3), w = x.dim(4);
-  const std::size_t od = Conv2D::out_dim(d, kd_, stride_d_);
-  const std::size_t oh = Conv2D::out_dim(h, k_, stride_);
-  const std::size_t ow = Conv2D::out_dim(w, k_, stride_);
-  flops_ = 2ull * oc_ * od * oh * ow * ic_ * kd_ * k_ * k_;
-  const std::size_t p = od * oh * ow, ckk = ic_ * kd_ * k_ * k_, np = n * p;
-  float* col = scratch_.get(kSlotCol, ckk * np);
-  auto& pool = util::ThreadPool::shared();
-  pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
-    for (std::size_t i = n0; i < n1; ++i) {
-      vol2col(x.data() + i * ic_ * d * h * w, ic_, d, h, w, kd_, k_, k_,
-              stride_d_, stride_, stride_, col + i * p, np);
-    }
-  });
-  if (qcol_.size() < ckk * np) qcol_.resize(ckk * np);
-  quantize_activations(col, ckk * np, xq_, qcol_.data());
-  float* yall = scratch_.get(kSlotOut, oc_ * np);
-  qgemm(qw_, qcol_.data(), np, xq_, yall, np);
-  Tensor y({n, oc_, od, oh, ow});
-  const Tensor& bt = b_.value;
-  pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
-    for (std::size_t i = n0; i < n1; ++i) {
-      for (std::size_t oc = 0; oc < oc_; ++oc) {
-        const float* src = yall + oc * np + i * p;
-        float* dst = y.data() + (i * oc_ + oc) * p;
-        const float bias = bt[oc];
-        for (std::size_t q = 0; q < p; ++q) dst[q] = src[q] + bias;
-      }
-    }
-  });
-  return y;
-}
-
-Tensor QuantConv3D::backward(const Tensor& /*grad_out*/) {
-  frozen("QuantConv3D");
-}
-
-void QuantConv3D::prime_flops(std::size_t d, std::size_t h,
-                              std::size_t w) const {
-  flops_ = 2ull * oc_ * Conv2D::out_dim(d, kd_, stride_d_) *
-           Conv2D::out_dim(h, k_, stride_) * Conv2D::out_dim(w, k_, stride_) *
-           ic_ * kd_ * k_ * k_;
-}
+Tensor QuantConv::backward(const Tensor& /*grad_out*/) { frozen("QuantConv"); }
 
 }  // namespace autolearn::ml

@@ -1,4 +1,4 @@
-// Inference-only int8 twins of Dense / Conv2D / Conv3D. quantize_model()
+// Inference-only int8 twins of Dense and Conv. quantize_model()
 // builds them from a calibrated fp32 model and swaps them into the same
 // Sequential slots, so predict/predict_batch run unchanged while every
 // GEMM goes through the packed int8 kernels (quant.hpp).
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ml/conv.hpp"
 #include "ml/gemm.hpp"
 #include "ml/layer.hpp"
 #include "ml/quant.hpp"
@@ -46,73 +47,37 @@ class QuantDense : public Layer {
   std::vector<float> yt_;
 };
 
-/// Conv2D forward via the shared im2col lowering, with the patch matrix
-/// quantized and multiplied by packed int8 weights.
-class QuantConv2D : public Layer {
+/// Int8 twin of a Conv (Conv2D or Conv3D): the same vol2col lowering,
+/// with the patch matrix quantized and multiplied by packed int8 weights.
+class QuantConv : public Layer {
  public:
-  QuantConv2D(std::size_t in_channels, std::size_t out_channels,
-              std::size_t kernel, std::size_t stride, const Tensor& w,
-              const Tensor& b, ActQuant xq);
+  /// Takes the geometry and trained parameters of `conv`.
+  QuantConv(const Conv& conv, ActQuant xq);
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
-  std::string name() const override { return "qconv2d"; }
+  std::string name() const override {
+    return g_.depth_axis ? "qconv3d" : "qconv2d";
+  }
   std::uint64_t flops_per_sample() const override { return flops_; }
 
   const QuantizedWeights& quantized() const { return qw_; }
   const ActQuant& input_quant() const { return xq_; }
-  std::size_t in_channels() const { return ic_; }
-  std::size_t out_channels() const { return oc_; }
-  std::size_t kernel() const { return k_; }
-  std::size_t stride() const { return stride_; }
+  const ConvGeometry& geometry() const { return g_; }
 
-  /// Plan-compile hook; see Conv2D::prime_flops.
-  void prime_flops(std::size_t h, std::size_t w) const;
+  /// Plan-compile hook; see Conv::prime_flops.
+  void prime_flops(const ConvGeometry::Volumes& v) const {
+    flops_ = g_.flops(v);
+  }
 
  private:
-  std::size_t ic_, oc_, k_, stride_;
+  ConvGeometry g_;
   Param w_, b_;
   QuantizedWeights qw_;
   ActQuant xq_;
-  ScratchArena scratch_;               // float col + batched output
-  std::vector<std::uint8_t> qcol_;     // quantized patch matrix
-  mutable std::uint64_t flops_ = 0;
-};
-
-/// Conv3D counterpart (vol2col lowering).
-class QuantConv3D : public Layer {
- public:
-  QuantConv3D(std::size_t in_channels, std::size_t out_channels,
-              std::size_t kernel_d, std::size_t kernel, std::size_t stride_d,
-              std::size_t stride, const Tensor& w, const Tensor& b,
-              ActQuant xq);
-
-  Tensor forward(const Tensor& x, bool train) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::vector<Param*> params() override { return {&w_, &b_}; }
-  std::string name() const override { return "qconv3d"; }
-  std::uint64_t flops_per_sample() const override { return flops_; }
-
-  const QuantizedWeights& quantized() const { return qw_; }
-  const ActQuant& input_quant() const { return xq_; }
-  std::size_t in_channels() const { return ic_; }
-  std::size_t out_channels() const { return oc_; }
-  std::size_t kernel_d() const { return kd_; }
-  std::size_t kernel() const { return k_; }
-  std::size_t stride_d() const { return stride_d_; }
-  std::size_t stride() const { return stride_; }
-
-  /// Plan-compile hook; see Conv2D::prime_flops.
-  void prime_flops(std::size_t d, std::size_t h, std::size_t w) const;
-
- private:
-  std::size_t ic_, oc_, kd_, k_, stride_d_, stride_;
-  Param w_, b_;
-  QuantizedWeights qw_;
-  ActQuant xq_;
-  ScratchArena scratch_;
-  std::vector<std::uint8_t> qcol_;
+  ScratchArena scratch_;            // float col + batched output
+  std::vector<std::uint8_t> qcol_;  // quantized patch matrix
   mutable std::uint64_t flops_ = 0;
 };
 

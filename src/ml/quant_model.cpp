@@ -78,8 +78,7 @@ class ObservedLayer : public Layer {
 
 bool quantizable(Layer& layer) {
   return dynamic_cast<Dense*>(&layer) != nullptr ||
-         dynamic_cast<Conv2D*>(&layer) != nullptr ||
-         dynamic_cast<Conv3D*>(&layer) != nullptr;
+         dynamic_cast<Conv*>(&layer) != nullptr;
 }
 
 LayerPtr make_quant_twin(LayerPtr fp32, ActQuant xq) {
@@ -87,17 +86,8 @@ LayerPtr make_quant_twin(LayerPtr fp32, ActQuant xq) {
     auto ps = d->params();
     return std::make_unique<QuantDense>(ps[0]->value, ps[1]->value, xq);
   }
-  if (auto* c = dynamic_cast<Conv2D*>(fp32.get())) {
-    auto ps = c->params();
-    return std::make_unique<QuantConv2D>(c->in_channels(), c->out_channels(),
-                                         c->kernel(), c->stride(),
-                                         ps[0]->value, ps[1]->value, xq);
-  }
-  if (auto* c = dynamic_cast<Conv3D*>(fp32.get())) {
-    auto ps = c->params();
-    return std::make_unique<QuantConv3D>(
-        c->in_channels(), c->out_channels(), c->kernel_d(), c->kernel(),
-        c->stride_d(), c->stride(), ps[0]->value, ps[1]->value, xq);
+  if (auto* c = dynamic_cast<Conv*>(fp32.get())) {
+    return std::make_unique<QuantConv>(*c, xq);
   }
   throw std::logic_error("make_quant_twin: unsupported layer");
 }

@@ -1,5 +1,5 @@
 // Post-training quantization of the model zoo: observe activation ranges
-// on calibration tub data, then swap every Dense/Conv2D/Conv3D in the
+// on calibration tub data, then swap every Dense and Conv in the
 // model's nets for an int8 twin (quant_layers.hpp). The result is a
 // frozen QuantizedModel serving through the unchanged predict /
 // predict_batch entry points, whose compiled plan lowers the twins to

@@ -32,15 +32,6 @@ TransferManager::TransferManager(Network& network, util::EventQueue& queue,
   policy_.validate();
 }
 
-TransferManager::TransferManager(Network& network, util::EventQueue& queue,
-                                 util::Rng rng, int max_retries)
-    : TransferManager(network, queue, rng, [max_retries] {
-        if (max_retries < 0) {
-          throw std::invalid_argument("transfer: negative retries");
-        }
-        return fault::RetryPolicy::immediate(max_retries + 1);
-      }()) {}
-
 void TransferManager::instrument(obs::Tracer* tracer,
                                  obs::MetricsRegistry* metrics) {
   tracer_ = tracer;

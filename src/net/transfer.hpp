@@ -42,14 +42,11 @@ struct TransferResult {
 class TransferManager {
  public:
   /// Retries follow `policy` (attempt cap, exponential backoff, jitter,
-  /// optional per-attempt timeout).
-  TransferManager(Network& network, util::EventQueue& queue, util::Rng rng,
-                  fault::RetryPolicy policy);
-
-  /// Legacy counter interface: max_retries additional attempts after a
-  /// dropped transfer, retried back-to-back with no backoff.
-  TransferManager(Network& network, util::EventQueue& queue, util::Rng rng,
-                  int max_retries = 2);
+  /// optional per-attempt timeout). The default makes three attempts,
+  /// back-to-back with no backoff.
+  TransferManager(
+      Network& network, util::EventQueue& queue, util::Rng rng,
+      fault::RetryPolicy policy = fault::RetryPolicy::immediate(3));
 
   /// Schedules a transfer starting now; on_done fires from the event queue
   /// when it completes or exhausts retries. Returns the transfer id.

@@ -77,8 +77,6 @@ struct AutoScalerOptions {
 
   /// Appends every violation (prefix "autoscaler.") without throwing.
   void check(ConfigIssues& out) const;
-  /// Throw-on-first shim over check().
-  void validate() const;
 };
 
 /// One sampling tick's view of the fleet, produced by the service.

@@ -10,11 +10,10 @@
 // "batcher.max_batch", ...). One pass over a config reports all the
 // typos, not just the first.
 //
-// Migration: the per-struct validate() methods still exist and still
-// throw the FIRST violation as a plain ConfigError — they are shims over
-// the same check() collectors, so code written against the old surface
-// compiles and behaves unchanged. New code should build a ServeConfig,
-// call validate() once, and hand .fleet / .canary to the constructors.
+// Migration: the per-struct validate() methods are gone. Build a
+// ServeConfig, call validate() once, and hand .fleet / .canary to the
+// constructors; each constructor still throws the FIRST violation of its
+// own struct as a plain ConfigError (throw_first_issue in errors.hpp).
 #pragma once
 
 #include "serve/autoscaler.hpp"

@@ -11,8 +11,9 @@
 // The aggregate ServeConfig::validate() collects EVERY violation before
 // throwing, as a ConfigErrorList whose errors() each carry their own
 // field() path — one pass over a config file reports all the typos, not
-// just the first. Per-struct validate() keeps the old throw-on-first
-// contract as a shim over the same check() collectors.
+// just the first. The subsystem constructors (and publish_canary) run
+// their own struct's check() through throw_first_issue, so each still
+// rejects bad options with a ConfigError for the first offending field.
 #pragma once
 
 #include <stdexcept>
@@ -64,8 +65,17 @@ class ConfigErrorList : public std::invalid_argument {
   std::vector<ConfigError> errors_;
 };
 
-/// Collector the per-struct check() methods append into; validate()
-/// shims throw the first entry to preserve the original behavior.
+/// Collector the per-struct check() methods append into.
 using ConfigIssues = std::vector<ConfigError>;
+
+/// Runs `options.check()` and throws the first violation as a
+/// ConfigError; no-op on valid options. The serve constructors validate
+/// their own struct with it; ServeConfig::validate() is the public entry.
+template <class Options>
+void throw_first_issue(const Options& options) {
+  ConfigIssues issues;
+  options.check(issues);
+  if (!issues.empty()) throw issues.front();
+}
 
 }  // namespace autolearn::serve

@@ -14,15 +14,9 @@ void HealthOptions::check(ConfigIssues& out) const {
   }
 }
 
-void HealthOptions::validate() const {
-  ConfigIssues issues;
-  check(issues);
-  if (!issues.empty()) throw issues.front();
-}
-
 HealthMonitor::HealthMonitor(util::EventQueue& queue, HealthOptions options)
     : queue_(queue), options_(options) {
-  options_.validate();
+  throw_first_issue(options_);
 }
 
 std::size_t HealthMonitor::add_shard(std::string site) {

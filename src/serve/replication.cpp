@@ -24,12 +24,6 @@ void CanaryOptions::check(ConfigIssues& out) const {
   }
 }
 
-void CanaryOptions::validate() const {
-  ConfigIssues issues;
-  check(issues);
-  if (!issues.empty()) throw issues.front();
-}
-
 ReplicatedRegistry::ReplicatedRegistry(std::size_t shards) {
   if (shards == 0) {
     throw ConfigError("replication.shards", "must be >= 1");
@@ -115,7 +109,7 @@ std::shared_ptr<const CanaryOutcome> ReplicatedRegistry::publish_canary(
     std::shared_ptr<ml::DrivingModel> model, std::string tag,
     const CanaryOptions& options, std::vector<ml::Sample> probes,
     util::EventQueue* queue) {
-  options.validate();
+  throw_first_issue(options);
   if (!model) {
     throw std::invalid_argument("publish_canary: null model");
   }

@@ -49,8 +49,6 @@ struct CanaryOptions {
 
   /// Appends every violation (prefix "canary.") without throwing.
   void check(ConfigIssues& out) const;
-  /// Throw-on-first shim over check().
-  void validate() const;
 };
 
 struct CanaryOutcome {

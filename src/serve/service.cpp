@@ -91,16 +91,10 @@ void FleetOptions::check(ConfigIssues& out) const {
   autoscaler.check(out);
 }
 
-void FleetOptions::validate() const {
-  ConfigIssues issues;
-  check(issues);
-  if (!issues.empty()) throw issues.front();
-}
-
 FleetService::FleetService(util::EventQueue& queue, ModelRegistry& registry,
                            FleetOptions options)
     : queue_(queue), options_(std::move(options)) {
-  options_.validate();
+  throw_first_issue(options_);
   base_registry_ = &registry;
   // Unreplicated mode: every shard reads the same registry.
   init(std::vector<ModelRegistry*>(options_.shards, &registry));
@@ -109,7 +103,7 @@ FleetService::FleetService(util::EventQueue& queue, ModelRegistry& registry,
 FleetService::FleetService(util::EventQueue& queue,
                            ReplicatedRegistry& registry, FleetOptions options)
     : queue_(queue), options_(std::move(options)) {
-  options_.validate();
+  throw_first_issue(options_);
   if (registry.shards() < options_.shards) {
     throw ConfigError("fleet.shards",
                       "replicated registry has " +

@@ -133,8 +133,6 @@ struct FleetOptions {
   /// Appends every violation (prefix "fleet." / nested struct prefixes)
   /// without throwing.
   void check(ConfigIssues& out) const;
-  /// Throw-on-first shim over check().
-  void validate() const;
 };
 
 class FleetService {

@@ -236,7 +236,7 @@ TEST(Checkpointable, SaveRestoreRoundTrip) {
 struct TransferRig {
   util::EventQueue queue;
   net::Network network;
-  net::TransferManager transfers{network, queue, util::Rng(5), 2};
+  net::TransferManager transfers{network, queue, util::Rng(5)};
   objectstore::ObjectStore os;
   CheckpointStore store{os};
 

@@ -230,8 +230,8 @@ TEST(RetryPolicyProperty, AttemptCapIsExact) {
 }
 
 TEST(RetryPolicyProperty, ImmediateMatchesLegacyCounterSemantics) {
-  // The legacy max_retries interface maps onto immediate(): N attempts
-  // retried back-to-back, no backoff, no rng draws.
+  // immediate() (TransferManager's default policy): N attempts retried
+  // back-to-back, no backoff, no rng draws.
   const RetryPolicy p = RetryPolicy::immediate(3);
   EXPECT_EQ(p.max_attempts, 3);
   EXPECT_EQ(p.jitter, RetryPolicy::Jitter::None);

@@ -92,7 +92,7 @@ FedOptions test_options() {
 struct FedRig {
   util::EventQueue queue;
   net::Network network;
-  net::TransferManager transfers{network, queue, util::Rng(5), 2};
+  net::TransferManager transfers{network, queue, util::Rng(5)};
   objectstore::ObjectStore os;
   serve::ReplicatedRegistry registry{2};
   ml::ModelConfig cfg = tiny_config();
@@ -558,7 +558,7 @@ TEST(TransferProperty, MidFlightFailureNeverYieldsAPartialDelta) {
     network.add_host("car-01");
     network.add_host("cloud");
     network.add_duplex("car-01", "cloud", net::LinkSpec{});
-    net::TransferManager transfers{network, queue, util::Rng(seed), 2};
+    net::TransferManager transfers{network, queue, util::Rng(seed)};
     objectstore::ObjectStore os;
     ckpt::CheckpointStore store{os};
     store.use_transfer(transfers, "car-01", "cloud");

@@ -199,7 +199,7 @@ TEST(Integration, LossyTransferRetriesAndCompletes) {
   lossy.loss_prob = 0.3;
   network.add_duplex("car", "cloud", lossy);
   net::TransferManager transfers(network, clock, util::Rng(7),
-                                 /*max_retries=*/20);
+                                 fault::RetryPolicy::immediate(21));
   int done = 0;
   for (int i = 0; i < 10; ++i) {
     transfers.start("car", "cloud", 500'000,

@@ -1,5 +1,5 @@
 // GEMM backbone tests: the blocked kernel against a naive double-precision
-// oracle, im2col/col2im adjoint properties, the GEMM-lowered convolution
+// oracle, vol2col/col2vol adjoint properties, the GEMM-lowered convolution
 // against direct loop nests (including stride > kernel edge shapes), and
 // the determinism contract — fit() must produce bitwise-identical weights
 // for any worker count.
@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "ml/conv.hpp"
@@ -165,67 +167,90 @@ TEST(Sgemm, CountersAdvance) {
   EXPECT_EQ(after.gemm_flops - before.gemm_flops, 2ull * 4 * 5 * 6);
 }
 
-// --- im2col / col2im ------------------------------------------------------
+// --- vol2col / col2vol ----------------------------------------------------
 
 struct ColShape {
-  std::size_t c, h, w, kh, kw, sh, sw;
+  std::size_t c, d, h, w, kd, kh, kw, sd, sh, sw;
 };
 
+/// col2vol(vol2col(x)) == x * multiplicity, where multiplicity counts how
+/// many sliding windows cover each element (col2vol of an all-ones volume).
+void expect_round_trip_scales_by_multiplicity(const ColShape& s,
+                                              util::Rng& rng) {
+  const std::size_t od = (s.d - s.kd) / s.sd + 1;
+  const std::size_t oh = (s.h - s.kh) / s.sh + 1;
+  const std::size_t ow = (s.w - s.kw) / s.sw + 1;
+  const std::size_t rows = s.c * s.kd * s.kh * s.kw, cols = od * oh * ow;
+  const auto round_trip = [&](const std::vector<float>& x) {
+    std::vector<float> col(rows * cols, 0.0f);
+    vol2col(x.data(), s.c, s.d, s.h, s.w, s.kd, s.kh, s.kw, s.sd, s.sh, s.sw,
+            col.data(), cols);
+    std::vector<float> back(x.size(), 0.0f);
+    col2vol(col.data(), cols, s.c, s.d, s.h, s.w, s.kd, s.kh, s.kw, s.sd,
+            s.sh, s.sw, back.data());
+    return back;
+  };
+  const auto x = random_vec(s.c * s.d * s.h * s.w, rng);
+  const std::vector<float> back = round_trip(x);
+  const std::vector<float> ones(x.size(), 1.0f);
+  const std::vector<float> mult = round_trip(ones);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_NEAR(back[i], x[i] * mult[i], 1e-5f)
+        << "c=" << s.c << " d=" << s.d << " h=" << s.h << " w=" << s.w
+        << " k=" << s.kd << "x" << s.kh << "x" << s.kw << " s=" << s.sd << "x"
+        << s.sh << "x" << s.sw << " at " << i;
+  }
+}
+
 TEST(Im2col, Col2imRoundTripScalesByWindowMultiplicity) {
-  // col2im(im2col(x)) == x * multiplicity, where multiplicity counts how
-  // many sliding windows cover each pixel (col2im of an all-ones image).
-  // Includes stride > kernel, where some pixels are covered zero times.
-  const ColShape shapes[] = {{1, 5, 5, 1, 1, 1, 1},
-                             {3, 11, 9, 3, 3, 2, 2},
-                             {2, 8, 10, 2, 2, 3, 3},
-                             {2, 7, 7, 3, 3, 1, 1}};
+  // The 2-D case (d = kd = sd = 1), including stride > kernel, where some
+  // pixels are covered zero times.
+  const ColShape shapes[] = {{1, 1, 5, 5, 1, 1, 1, 1, 1, 1},
+                             {3, 1, 11, 9, 1, 3, 3, 1, 2, 2},
+                             {2, 1, 8, 10, 1, 2, 2, 1, 3, 3},
+                             {2, 1, 7, 7, 1, 3, 3, 1, 1, 1}};
   util::Rng rng(31);
   for (const ColShape& s : shapes) {
-    const std::size_t oh = (s.h - s.kh) / s.sh + 1;
-    const std::size_t ow = (s.w - s.kw) / s.sw + 1;
-    const std::size_t rows = s.c * s.kh * s.kw, cols = oh * ow;
-    const auto x = random_vec(s.c * s.h * s.w, rng);
-    std::vector<float> col(rows * cols, 0.0f);
-    im2col(x.data(), s.c, s.h, s.w, s.kh, s.kw, s.sh, s.sw, col.data(), cols);
-    std::vector<float> back(x.size(), 0.0f);
-    col2im(col.data(), cols, s.c, s.h, s.w, s.kh, s.kw, s.sh, s.sw,
-           back.data());
-
-    const std::vector<float> ones(x.size(), 1.0f);
-    std::vector<float> ones_col(rows * cols, 0.0f);
-    im2col(ones.data(), s.c, s.h, s.w, s.kh, s.kw, s.sh, s.sw, ones_col.data(),
-           cols);
-    std::vector<float> mult(x.size(), 0.0f);
-    col2im(ones_col.data(), cols, s.c, s.h, s.w, s.kh, s.kw, s.sh, s.sw,
-           mult.data());
-
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      ASSERT_NEAR(back[i], x[i] * mult[i], 1e-5f)
-          << "c=" << s.c << " h=" << s.h << " w=" << s.w << " k=" << s.kh
-          << "x" << s.kw << " s=" << s.sh << "x" << s.sw << " at " << i;
-    }
+    expect_round_trip_scales_by_multiplicity(s, rng);
   }
 }
 
 TEST(Im2col, PatchLayoutMatchesFlattenedWeights) {
-  // Row index must be (ic*KH + ky)*KW + kx and column oy*OW + ox, or the
-  // GEMM against flattened [OC, C, KH, KW] weights silently permutes taps.
-  const std::size_t c = 2, h = 4, w = 5, kh = 2, kw = 3, sh = 1, sw = 2;
-  const std::size_t oh = (h - kh) / sh + 1, ow = (w - kw) / sw + 1;
-  std::vector<float> x(c * h * w);
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(i);
-  std::vector<float> col(c * kh * kw * oh * ow, -1.0f);
-  im2col(x.data(), c, h, w, kh, kw, sh, sw, col.data(), oh * ow);
-  for (std::size_t ic = 0; ic < c; ++ic) {
-    for (std::size_t ky = 0; ky < kh; ++ky) {
-      for (std::size_t kx = 0; kx < kw; ++kx) {
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::size_t row = (ic * kh + ky) * kw + kx;
-            const std::size_t colidx = oy * ow + ox;
-            const float want = x[(ic * h + oy * sh + ky) * w + ox * sw + kx];
-            ASSERT_EQ(col[row * oh * ow + colidx], want)
-                << ic << "," << ky << "," << kx << "," << oy << "," << ox;
+  // Row index must be ((ic*KD + kz)*KH + ky)*KW + kx and column
+  // (oz*OH + oy)*OW + ox, or the GEMM against flattened [OC, C, KD, KH, KW]
+  // weights silently permutes taps. The depth-1 shape runs vol2col's 2-D
+  // copy of the loops, the d > 1 shape its general body.
+  const ColShape shapes[] = {{2, 1, 4, 5, 1, 2, 3, 1, 1, 2},
+                             {2, 5, 4, 5, 2, 2, 3, 2, 1, 2}};
+  for (const ColShape& s : shapes) {
+    const std::size_t od = (s.d - s.kd) / s.sd + 1;
+    const std::size_t oh = (s.h - s.kh) / s.sh + 1;
+    const std::size_t ow = (s.w - s.kw) / s.sw + 1;
+    const std::size_t cols = od * oh * ow;
+    std::vector<float> x(s.c * s.d * s.h * s.w);
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(i);
+    std::vector<float> col(s.c * s.kd * s.kh * s.kw * cols, -1.0f);
+    vol2col(x.data(), s.c, s.d, s.h, s.w, s.kd, s.kh, s.kw, s.sd, s.sh, s.sw,
+            col.data(), cols);
+    for (std::size_t ic = 0; ic < s.c; ++ic) {
+      for (std::size_t kz = 0; kz < s.kd; ++kz) {
+        for (std::size_t ky = 0; ky < s.kh; ++ky) {
+          for (std::size_t kx = 0; kx < s.kw; ++kx) {
+            const std::size_t row = ((ic * s.kd + kz) * s.kh + ky) * s.kw + kx;
+            for (std::size_t oz = 0; oz < od; ++oz) {
+              for (std::size_t oy = 0; oy < oh; ++oy) {
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                  const std::size_t colidx = (oz * oh + oy) * ow + ox;
+                  const float want =
+                      x[((ic * s.d + oz * s.sd + kz) * s.h + oy * s.sh + ky) *
+                            s.w +
+                        ox * s.sw + kx];
+                  ASSERT_EQ(col[row * cols + colidx], want)
+                      << "d=" << s.d << " at " << ic << "," << kz << "," << ky
+                      << "," << kx << "," << oz << "," << oy << "," << ox;
+                }
+              }
+            }
           }
         }
       }
@@ -234,82 +259,77 @@ TEST(Im2col, PatchLayoutMatchesFlattenedWeights) {
 }
 
 TEST(Vol2col, Col2volRoundTripScalesByWindowMultiplicity) {
-  const std::size_t c = 2, d = 4, h = 6, w = 5;
-  const std::size_t kd = 2, kh = 3, kw = 2, sd = 1, sh = 2, sw = 3;
-  const std::size_t od = (d - kd) / sd + 1, oh = (h - kh) / sh + 1,
-                    ow = (w - kw) / sw + 1;
-  const std::size_t rows = c * kd * kh * kw, cols = od * oh * ow;
   util::Rng rng(33);
-  const auto x = random_vec(c * d * h * w, rng);
-  std::vector<float> col(rows * cols, 0.0f);
-  vol2col(x.data(), c, d, h, w, kd, kh, kw, sd, sh, sw, col.data(), cols);
-  std::vector<float> back(x.size(), 0.0f);
-  col2vol(col.data(), cols, c, d, h, w, kd, kh, kw, sd, sh, sw, back.data());
-
-  const std::vector<float> ones(x.size(), 1.0f);
-  std::vector<float> ones_col(rows * cols, 0.0f);
-  vol2col(ones.data(), c, d, h, w, kd, kh, kw, sd, sh, sw, ones_col.data(),
-          cols);
-  std::vector<float> mult(x.size(), 0.0f);
-  col2vol(ones_col.data(), cols, c, d, h, w, kd, kh, kw, sd, sh, sw,
-          mult.data());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    ASSERT_NEAR(back[i], x[i] * mult[i], 1e-5f) << i;
-  }
+  expect_round_trip_scales_by_multiplicity({2, 4, 6, 5, 2, 3, 2, 1, 2, 3},
+                                           rng);
 }
 
 // --- conv vs direct loop nests --------------------------------------------
 
 struct ConvCase {
   std::size_t n, ic, oc, h, w, k, stride;
+  std::size_t d = 0, kd = 1, stride_d = 1;  // d == 0: a Conv2D
 };
 
-/// Direct 7-loop convolution (the pre-GEMM implementation) with gradient
-/// loops, used as the oracle for the lowered layer.
+/// Direct convolution loops (the pre-GEMM implementation) with gradient
+/// loops, used as the oracle for the lowered layer. An [N, C, H, W] input
+/// is read as the depth-1 volume [N, C, 1, H, W] it is laid out as.
 struct NaiveConvResult {
   Tensor y, dx, dw, db;
 };
 
 NaiveConvResult naive_conv(const Tensor& x, const Tensor& wt, const Tensor& bt,
-                           const Tensor& grad_out, std::size_t stride) {
-  const std::size_t n = x.dim(0), ic = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::size_t oc = wt.dim(0), k = wt.dim(2);
+                           const Tensor& grad_out, std::size_t stride_d,
+                           std::size_t stride) {
+  const bool volume = x.rank() == 5;
+  const std::size_t n = x.dim(0), ic = x.dim(1), d = volume ? x.dim(2) : 1;
+  const std::size_t h = x.dim(x.rank() - 2), w = x.dim(x.rank() - 1);
+  const std::size_t oc = wt.dim(0), kd = volume ? wt.dim(2) : 1;
+  const std::size_t k = wt.dim(wt.rank() - 1);
+  const std::size_t od = (d - kd) / stride_d + 1;
   const std::size_t oh = (h - k) / stride + 1, ow = (w - k) / stride + 1;
-  NaiveConvResult r{Tensor({n, oc, oh, ow}), Tensor(x.shape()),
-                    Tensor(wt.shape()), Tensor(bt.shape())};
+  std::vector<std::size_t> y_shape = {n, oc, od, oh, ow};
+  if (!volume) y_shape.erase(y_shape.begin() + 2);
+  NaiveConvResult r{Tensor(y_shape), Tensor(x.shape()), Tensor(wt.shape()),
+                    Tensor(bt.shape())};
+  // Flat offsets of input element (i, c, z, y, x), tap (o, c, kz, ky, kx)
+  // and output (i, o, oz, oy, ox).
+  const auto xi = [&](std::size_t i, std::size_t c, std::size_t z,
+                      std::size_t yy, std::size_t xx) {
+    return (((i * ic + c) * d + z) * h + yy) * w + xx;
+  };
+  const auto wi = [&](std::size_t o, std::size_t c, std::size_t kz,
+                      std::size_t ky, std::size_t kx) {
+    return (((o * ic + c) * kd + kz) * k + ky) * k + kx;
+  };
+  const auto yi = [&](std::size_t i, std::size_t o, std::size_t oz,
+                      std::size_t oy, std::size_t ox) {
+    return (((i * oc + o) * od + oz) * oh + oy) * ow + ox;
+  };
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t o = 0; o < oc; ++o) {
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          float acc = bt[o];
-          for (std::size_t c = 0; c < ic; ++c) {
-            for (std::size_t ky = 0; ky < k; ++ky) {
-              for (std::size_t kx = 0; kx < k; ++kx) {
-                acc += x.at(i, c, oy * stride + ky, ox * stride + kx) *
-                       wt.at(o, c, ky, kx);
+      for (std::size_t oz = 0; oz < od; ++oz) {
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            float acc = bt[o];
+            const float g = grad_out[yi(i, o, oz, oy, ox)];
+            r.db[o] += g;
+            for (std::size_t c = 0; c < ic; ++c) {
+              for (std::size_t kz = 0; kz < kd; ++kz) {
+                for (std::size_t ky = 0; ky < k; ++ky) {
+                  for (std::size_t kx = 0; kx < k; ++kx) {
+                    const std::size_t at =
+                        xi(i, c, oz * stride_d + kz, oy * stride + ky,
+                           ox * stride + kx);
+                    const std::size_t tap = wi(o, c, kz, ky, kx);
+                    acc += x[at] * wt[tap];
+                    r.dw[tap] += g * x[at];
+                    r.dx[at] += g * wt[tap];
+                  }
+                }
               }
             }
-          }
-          r.y.at(i, o, oy, ox) = acc;
-        }
-      }
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t o = 0; o < oc; ++o) {
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const float g = grad_out.at(i, o, oy, ox);
-          r.db[o] += g;
-          for (std::size_t c = 0; c < ic; ++c) {
-            for (std::size_t ky = 0; ky < k; ++ky) {
-              for (std::size_t kx = 0; kx < k; ++kx) {
-                r.dw.at(o, c, ky, kx) +=
-                    g * x.at(i, c, oy * stride + ky, ox * stride + kx);
-                r.dx.at(i, c, oy * stride + ky, ox * stride + kx) +=
-                    g * wt.at(o, c, ky, kx);
-              }
-            }
+            r.y[yi(i, o, oz, oy, ox)] = acc;
           }
         }
       }
@@ -319,41 +339,50 @@ NaiveConvResult naive_conv(const Tensor& x, const Tensor& wt, const Tensor& bt,
 }
 
 TEST(Conv2D, ForwardBackwardMatchNaiveLoops) {
-  // k == 1 (pointwise), the model-zoo k=3/s=2 shape, and stride > kernel
-  // (windows skip pixels; dx must be zero on the skipped ones).
+  // Conv2D: k == 1 (pointwise), the model-zoo k=3/s=2 shape, and stride >
+  // kernel (windows skip pixels; dx must be zero on the skipped ones).
+  // Conv3D: kd 2 at depth stride 1 (the 3d model's frame stack) and 2,
+  // and a 1x1x1 kernel.
   const ConvCase cases[] = {{2, 3, 4, 6, 7, 1, 1},
                             {3, 2, 5, 9, 11, 3, 2},
-                            {2, 2, 3, 8, 9, 2, 3}};
+                            {2, 2, 3, 8, 9, 2, 3},
+                            {2, 1, 3, 9, 11, 3, 2, 3, 2, 1},
+                            {2, 2, 3, 7, 8, 2, 1, 5, 2, 2},
+                            {2, 3, 4, 5, 6, 1, 1, 3, 1, 1}};
   for (const ConvCase& cc : cases) {
     util::Rng rng(77);
-    Conv2D layer(cc.ic, cc.oc, cc.k, cc.stride, rng);
+    std::unique_ptr<Layer> layer;
+    std::vector<std::size_t> x_shape = {cc.n, cc.ic, cc.h, cc.w};
+    if (cc.d == 0) {
+      layer = std::make_unique<Conv2D>(cc.ic, cc.oc, cc.k, cc.stride, rng);
+    } else {
+      layer = std::make_unique<Conv3D>(cc.ic, cc.oc, cc.kd, cc.k, cc.stride_d,
+                                       cc.stride, rng);
+      x_shape.insert(x_shape.begin() + 2, cc.d);
+    }
+    const std::string at = layer->name() + " k=" + std::to_string(cc.k);
     util::Rng data_rng(78);
-    const Tensor x = Tensor::randn({cc.n, cc.ic, cc.h, cc.w}, data_rng, 1.0);
-    const Tensor y = layer.forward(x, true);
-    const std::size_t oh = Conv2D::out_dim(cc.h, cc.k, cc.stride);
-    const std::size_t ow = Conv2D::out_dim(cc.w, cc.k, cc.stride);
-    ASSERT_EQ(y.dim(2), oh);
-    ASSERT_EQ(y.dim(3), ow);
+    const Tensor x = Tensor::randn(x_shape, data_rng, 1.0);
+    const Tensor y = layer->forward(x, true);
     const Tensor grad_out = Tensor::randn(y.shape(), data_rng, 1.0);
-    const Tensor dx = layer.backward(grad_out);
+    const Tensor dx = layer->backward(grad_out);
 
-    Param* wp = layer.params()[0];
-    Param* bp = layer.params()[1];
+    Param* wp = layer->params()[0];
+    Param* bp = layer->params()[1];
     const NaiveConvResult want =
-        naive_conv(x, wp->value, bp->value, grad_out, cc.stride);
+        naive_conv(x, wp->value, bp->value, grad_out, cc.stride_d, cc.stride);
+    ASSERT_EQ(y.shape(), want.y.shape()) << at;
     for (std::size_t i = 0; i < y.size(); ++i) {
-      ASSERT_NEAR(y[i], want.y[i], 1e-4f) << "y k=" << cc.k << " at " << i;
+      ASSERT_NEAR(y[i], want.y[i], 1e-4f) << "y " << at << " at " << i;
     }
     for (std::size_t i = 0; i < dx.size(); ++i) {
-      ASSERT_NEAR(dx[i], want.dx[i], 1e-4f) << "dx k=" << cc.k << " at " << i;
+      ASSERT_NEAR(dx[i], want.dx[i], 1e-4f) << "dx " << at << " at " << i;
     }
     for (std::size_t i = 0; i < wp->grad.size(); ++i) {
-      ASSERT_NEAR(wp->grad[i], want.dw[i], 1e-4f)
-          << "dw k=" << cc.k << " at " << i;
+      ASSERT_NEAR(wp->grad[i], want.dw[i], 1e-4f) << "dw " << at << " at " << i;
     }
     for (std::size_t i = 0; i < bp->grad.size(); ++i) {
-      ASSERT_NEAR(bp->grad[i], want.db[i], 1e-4f)
-          << "db k=" << cc.k << " at " << i;
+      ASSERT_NEAR(bp->grad[i], want.db[i], 1e-4f) << "db " << at << " at " << i;
     }
   }
 }

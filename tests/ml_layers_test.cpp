@@ -273,6 +273,28 @@ TEST(Conv3D, GradientCheck) {
   GradCheck::run(c, random_tensor({2, 1, 3, 7, 9}, rng), rng);
 }
 
+TEST(Conv, BackwardBeforeForwardThrows) {
+  // Backward reads the input shape its forward recorded; with none there
+  // is nothing to differentiate.
+  util::Rng rng(17);
+  Conv2D c2(1, 2, 3, 1, rng);
+  EXPECT_THROW(c2.backward(Tensor({1, 2, 2, 2})), std::logic_error);
+  Conv3D c3(1, 2, 2, 3, 1, 2, rng);
+  EXPECT_THROW(c3.backward(Tensor({1, 2, 1, 2, 2})), std::logic_error);
+}
+
+TEST(Conv, RejectsZeroParameters) {
+  // One constructor checks every channel count, kernel size and stride of
+  // both convs.
+  util::Rng rng(18);
+  EXPECT_THROW(Conv2D(0, 2, 3, 1, rng), std::invalid_argument);
+  EXPECT_THROW(Conv2D(1, 2, 3, 0, rng), std::invalid_argument);
+  EXPECT_THROW(Conv3D(0, 2, 2, 3, 1, 2, rng), std::invalid_argument);
+  EXPECT_THROW(Conv3D(1, 0, 2, 3, 1, 2, rng), std::invalid_argument);
+  EXPECT_THROW(Conv3D(1, 2, 0, 3, 1, 2, rng), std::invalid_argument);
+  EXPECT_THROW(Conv3D(1, 2, 2, 3, 0, 2, rng), std::invalid_argument);
+}
+
 TEST(LSTM, OutputShapeAndDeterminism) {
   util::Rng rng(14);
   LSTM l(6, 4, rng);

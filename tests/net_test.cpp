@@ -190,7 +190,7 @@ TEST(TransferManager, RetriesOnLossyLink) {
   n.add_host("b");
   n.add_duplex("a", "b", LinkSpec{0.001, 0, 1e6, 0.4});
   util::EventQueue q;
-  TransferManager tm(n, q, rng(), /*max_retries=*/50);
+  TransferManager tm(n, q, rng(), fault::RetryPolicy::immediate(51));
   int completions = 0;
   for (int i = 0; i < 20; ++i) {
     tm.start("a", "b", 1000, [&](const TransferResult& r) {
@@ -209,7 +209,7 @@ TEST(TransferManager, FailsAfterRetriesExhausted) {
   n.add_host("b");
   n.add_duplex("a", "b", LinkSpec{0.001, 0, 1e6, 1.0});  // always drops
   util::EventQueue q;
-  TransferManager tm(n, q, rng(), /*max_retries=*/2);
+  TransferManager tm(n, q, rng(), fault::RetryPolicy::immediate(3));
   TransferStatus status = TransferStatus::InFlight;
   int attempts = 0;
   tm.start("a", "b", 1000, [&](const TransferResult& r) {
@@ -372,18 +372,11 @@ TEST(TransferManager, RecordsAttemptStartTimes) {
   EXPECT_GT(r.attempt_starts[2] - r.attempt_starts[1], 2.0);
 }
 
-TEST(TransferManager, NegativeRetriesThrows) {
+TEST(TransferManager, DefaultPolicyIsThreeImmediateAttempts) {
+  // Two retries after the first attempt, back-to-back.
   Network n;
   util::EventQueue q;
-  EXPECT_THROW(TransferManager(n, q, rng(), /*max_retries=*/-1),
-               std::invalid_argument);
-}
-
-TEST(TransferManager, LegacyCounterCtorMapsToImmediatePolicy) {
-  // max_retries = 2 extra tries after the first attempt, back-to-back.
-  Network n;
-  util::EventQueue q;
-  TransferManager tm(n, q, rng(), /*max_retries=*/2);
+  TransferManager tm(n, q, rng());
   EXPECT_EQ(tm.policy().max_attempts, 3);
   EXPECT_EQ(tm.policy().jitter, fault::RetryPolicy::Jitter::None);
   EXPECT_DOUBLE_EQ(tm.policy().base_delay_s, 0.0);

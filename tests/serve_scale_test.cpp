@@ -245,18 +245,19 @@ TEST(ServeConfigTest, LoadSpikesAreValidatedUpFrontWithIndexedPaths) {
   EXPECT_TRUE(config.issues().empty());
 }
 
-TEST(ServeConfigTest, PerStructValidateStillThrowsFirstAsConfigError) {
+TEST(ServeConfigTest, ConstructorsThrowFirstIssueAsConfigError) {
   AutoScalerOptions opt;
   opt.cooldown_s = -1.0;
+  util::EventQueue queue;
   try {
-    opt.validate();
+    AutoScaler scaler(queue, opt);
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "autoscaler.cooldown_s");
   }
   BatcherConfig b;
   b.max_batch = 0;
-  EXPECT_THROW(b.validate(), ConfigError);
+  EXPECT_THROW(DynamicBatcher{b}, ConfigError);
 }
 
 // --- AutoScaler control loop (stubbed sampler/resizer) ----------------------
