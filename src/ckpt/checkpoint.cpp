@@ -91,33 +91,23 @@ std::vector<std::uint8_t> encode_envelope(const std::string& payload,
 DecodedEnvelope decode_envelope(const std::vector<std::uint8_t>& bytes) {
   std::istringstream is(std::string(bytes.begin(), bytes.end()),
                         std::ios::binary);
-  std::uint32_t magic = 0;
-  std::uint16_t version = 0;
-  if (!util::read_pod(is, magic) || magic != kMagic) {
+  util::BinReader<CheckpointError> r(is, "checkpoint");
+  if (r.pod<std::uint32_t>("header") != kMagic) {
     throw CheckpointError(CheckpointError::Code::BadMagic,
                           "checkpoint: bad magic");
   }
-  if (!util::read_pod(is, version) || version > kVersion) {
+  if (r.pod<std::uint16_t>("header") > kVersion) {
     throw CheckpointError(CheckpointError::Code::BadVersion,
                           "checkpoint: unsupported format version");
   }
   DecodedEnvelope out;
-  std::uint64_t payload_size = 0;
-  std::uint32_t expected_crc = 0;
-  if (!util::read_pod(is, out.info.epoch) ||
-      !util::read_pod(is, out.info.step) ||
-      !util::read_pod(is, out.info.seed) ||
-      !util::read_string(is, out.info.note) ||
-      !util::read_pod(is, payload_size) || !util::read_pod(is, expected_crc)) {
-    throw CheckpointError(CheckpointError::Code::Truncated,
-                          "checkpoint: truncated header");
-  }
-  out.payload.resize(payload_size);
-  is.read(out.payload.data(), static_cast<std::streamsize>(payload_size));
-  if (!is || static_cast<std::uint64_t>(is.gcount()) != payload_size) {
-    throw CheckpointError(CheckpointError::Code::Truncated,
-                          "checkpoint: truncated payload");
-  }
+  out.info.epoch = r.pod<std::uint64_t>("header");
+  out.info.step = r.pod<std::uint64_t>("header");
+  out.info.seed = r.pod<std::uint64_t>("header");
+  out.info.note = r.string("header");
+  const auto payload_size = r.pod<std::uint64_t>("header");
+  const auto expected_crc = r.pod<std::uint32_t>("header");
+  out.payload = r.bytes(payload_size, "payload");
   if (crc32(out.payload.data(), out.payload.size()) != expected_crc) {
     throw CheckpointError(CheckpointError::Code::CrcMismatch,
                           "checkpoint: CRC mismatch");

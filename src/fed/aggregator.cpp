@@ -2,102 +2,73 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/binio.hpp"
 
 namespace autolearn::fed {
 namespace {
 
-// Raw little-endian POD codec for the aggregator's checkpoint state.
-// Matches the repo's other Checkpointable implementations: the bytes ride
-// inside a CRC envelope, so framing errors surface as quarantine, and a
-// short read here means a bug, not user input.
-template <typename T>
-void put_pod(std::ostream& os, const T& value) {
-  os.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T get_pod(std::istream& is) {
-  T value{};
-  is.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!is) {
-    throw std::runtime_error("fed: truncated aggregator checkpoint state");
-  }
-  return value;
-}
-
-void put_str(std::ostream& os, const std::string& s) {
-  put_pod<std::uint64_t>(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string get_str(std::istream& is) {
-  const auto n = get_pod<std::uint64_t>(is);
-  std::string s(static_cast<std::size_t>(n), '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  if (!is) {
-    throw std::runtime_error("fed: truncated aggregator checkpoint state");
-  }
-  return s;
-}
+// The aggregator's checkpoint state rides inside a CRC envelope, so a
+// short read here means a torn or forged payload: it surfaces as the
+// checkpoint's typed error.
+using StateReader = util::BinReader<ckpt::CheckpointError>;
 
 void put_client(std::ostream& os, const ClientRoundRecord& c) {
-  put_str(os, c.client);
-  put_pod<std::uint8_t>(os, static_cast<std::uint8_t>(c.outcome));
-  put_pod<std::uint64_t>(os, c.examples);
-  put_pod<double>(os, c.backoff_s);
-  put_pod<double>(os, c.upload_start_s);
-  put_pod<double>(os, c.committed_s);
-  put_str(os, c.detail);
+  util::write_string(os, c.client);
+  util::write_pod<std::uint8_t>(os, static_cast<std::uint8_t>(c.outcome));
+  util::write_pod<std::uint64_t>(os, c.examples);
+  util::write_pod<double>(os, c.backoff_s);
+  util::write_pod<double>(os, c.upload_start_s);
+  util::write_pod<double>(os, c.committed_s);
+  util::write_string(os, c.detail);
 }
 
-ClientRoundRecord get_client(std::istream& is) {
+ClientRoundRecord get_client(StateReader& r) {
   ClientRoundRecord c;
-  c.client = get_str(is);
-  c.outcome = static_cast<ClientOutcome>(get_pod<std::uint8_t>(is));
-  c.examples = get_pod<std::uint64_t>(is);
-  c.backoff_s = get_pod<double>(is);
-  c.upload_start_s = get_pod<double>(is);
-  c.committed_s = get_pod<double>(is);
-  c.detail = get_str(is);
+  c.client = r.string("client record");
+  c.outcome = static_cast<ClientOutcome>(r.pod<std::uint8_t>("client record"));
+  c.examples = r.pod<std::uint64_t>("client record");
+  c.backoff_s = r.pod<double>("client record");
+  c.upload_start_s = r.pod<double>("client record");
+  c.committed_s = r.pod<double>("client record");
+  c.detail = r.string("client record");
   return c;
 }
 
 void put_round(std::ostream& os, const RoundRecord& r) {
-  put_pod<std::uint64_t>(os, r.round);
-  put_pod<double>(os, r.started_s);
-  put_pod<double>(os, r.cutoff_s);
-  put_pod<double>(os, r.finished_s);
-  put_pod<std::uint64_t>(os, r.base_version);
-  put_pod<std::uint64_t>(os, r.published_version);
-  put_pod<std::uint8_t>(os, r.quorum_met ? 1 : 0);
-  put_pod<std::uint8_t>(os, r.promoted ? 1 : 0);
-  put_pod<std::uint8_t>(os, r.rolled_back ? 1 : 0);
-  put_pod<std::uint64_t>(os, r.accepted);
-  put_pod<std::uint64_t>(os, r.total_examples);
-  put_pod<std::uint64_t>(os, r.clients.size());
+  util::write_pod<std::uint64_t>(os, r.round);
+  util::write_pod<double>(os, r.started_s);
+  util::write_pod<double>(os, r.cutoff_s);
+  util::write_pod<double>(os, r.finished_s);
+  util::write_pod<std::uint64_t>(os, r.base_version);
+  util::write_pod<std::uint64_t>(os, r.published_version);
+  util::write_pod<std::uint8_t>(os, r.quorum_met ? 1 : 0);
+  util::write_pod<std::uint8_t>(os, r.promoted ? 1 : 0);
+  util::write_pod<std::uint8_t>(os, r.rolled_back ? 1 : 0);
+  util::write_pod<std::uint64_t>(os, r.accepted);
+  util::write_pod<std::uint64_t>(os, r.total_examples);
+  util::write_pod<std::uint64_t>(os, r.clients.size());
   for (const ClientRoundRecord& c : r.clients) put_client(os, c);
 }
 
-RoundRecord get_round(std::istream& is) {
-  RoundRecord r;
-  r.round = get_pod<std::uint64_t>(is);
-  r.started_s = get_pod<double>(is);
-  r.cutoff_s = get_pod<double>(is);
-  r.finished_s = get_pod<double>(is);
-  r.base_version = get_pod<std::uint64_t>(is);
-  r.published_version = get_pod<std::uint64_t>(is);
-  r.quorum_met = get_pod<std::uint8_t>(is) != 0;
-  r.promoted = get_pod<std::uint8_t>(is) != 0;
-  r.rolled_back = get_pod<std::uint8_t>(is) != 0;
-  r.accepted = static_cast<std::size_t>(get_pod<std::uint64_t>(is));
-  r.total_examples = get_pod<std::uint64_t>(is);
-  const auto n = get_pod<std::uint64_t>(is);
-  r.clients.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) r.clients.push_back(get_client(is));
-  return r;
+RoundRecord get_round(StateReader& r) {
+  RoundRecord out;
+  out.round = r.pod<std::uint64_t>("round record");
+  out.started_s = r.pod<double>("round record");
+  out.cutoff_s = r.pod<double>("round record");
+  out.finished_s = r.pod<double>("round record");
+  out.base_version = r.pod<std::uint64_t>("round record");
+  out.published_version = r.pod<std::uint64_t>("round record");
+  out.quorum_met = r.pod<std::uint8_t>("round record") != 0;
+  out.promoted = r.pod<std::uint8_t>("round record") != 0;
+  out.rolled_back = r.pod<std::uint8_t>("round record") != 0;
+  out.accepted = r.size("round record");
+  out.total_examples = r.pod<std::uint64_t>("round record");
+  const auto n = r.pod<std::uint64_t>("round record");
+  for (std::uint64_t i = 0; i < n; ++i) out.clients.push_back(get_client(r));
+  return out;
 }
 
 constexpr std::uint32_t kStateVersion = 1;
@@ -587,107 +558,97 @@ void Aggregator::finalize_round() {
 }
 
 void Aggregator::save_state(std::ostream& os) {
-  put_pod<std::uint32_t>(os, kStateVersion);
-  const util::RngState rs = rng_.state();
-  for (const std::uint64_t word : rs.s) put_pod<std::uint64_t>(os, word);
-  put_pod<double>(os, rs.cached_normal);
-  put_pod<std::uint8_t>(os, rs.has_cached_normal ? 1 : 0);
+  util::write_pod<std::uint32_t>(os, kStateVersion);
+  util::write_rng_state(os, rng_.state());
 
-  put_pod<std::uint64_t>(os, round_index_);
-  put_pod<std::uint8_t>(os, static_cast<std::uint8_t>(phase_));
-  put_pod<std::uint64_t>(os, expected_params_);
-  put_pod<std::uint64_t>(os, weight_so_far_);
-  put_pod<std::uint64_t>(os, merged_prefix_);
+  util::write_pod<std::uint64_t>(os, round_index_);
+  util::write_pod<std::uint8_t>(os, static_cast<std::uint8_t>(phase_));
+  util::write_pod<std::uint64_t>(os, expected_params_);
+  util::write_pod<std::uint64_t>(os, weight_so_far_);
+  util::write_pod<std::uint64_t>(os, merged_prefix_);
 
-  put_pod<std::uint64_t>(os, accepted_.size());
+  util::write_pod<std::uint64_t>(os, accepted_.size());
   for (const AcceptedEntry& e : accepted_) {
-    put_pod<std::uint32_t>(os, e.client);
-    put_pod<std::uint64_t>(os, e.examples);
-    put_pod<std::uint64_t>(os, e.generation);
+    util::write_pod<std::uint32_t>(os, e.client);
+    util::write_pod<std::uint64_t>(os, e.examples);
+    util::write_pod<std::uint64_t>(os, e.generation);
   }
-  put_pod<std::uint64_t>(os, acc_.size());
-  for (const double v : acc_) put_pod<double>(os, v);
-  put_pod<std::uint64_t>(os, failure_streak_.size());
-  for (const std::uint32_t s : failure_streak_) put_pod<std::uint32_t>(os, s);
+  util::write_pod<std::uint64_t>(os, acc_.size());
+  for (const double v : acc_) util::write_pod<double>(os, v);
+  util::write_pod<std::uint64_t>(os, failure_streak_.size());
+  for (const std::uint32_t s : failure_streak_) {
+    util::write_pod<std::uint32_t>(os, s);
+  }
 
   put_round(os, record_);
 
-  put_pod<std::uint64_t>(os, report_.rounds.size());
+  util::write_pod<std::uint64_t>(os, report_.rounds.size());
   for (const RoundRecord& r : report_.rounds) put_round(os, r);
-  put_pod<std::uint64_t>(os, report_.rounds_published);
-  put_pod<std::uint64_t>(os, report_.rounds_rolled_back);
-  put_pod<std::uint64_t>(os, report_.rounds_no_quorum);
-  put_pod<std::uint64_t>(os, report_.deltas_accepted);
-  put_pod<std::uint64_t>(os, report_.deltas_quarantined);
-  put_pod<std::uint64_t>(os, report_.stragglers);
-  put_pod<std::uint64_t>(os, report_.dropouts);
-  put_pod<std::uint64_t>(os, report_.transfer_failures);
-  put_pod<std::uint64_t>(os, report_.delta_bytes_shipped);
+  util::write_pod<std::uint64_t>(os, report_.rounds_published);
+  util::write_pod<std::uint64_t>(os, report_.rounds_rolled_back);
+  util::write_pod<std::uint64_t>(os, report_.rounds_no_quorum);
+  util::write_pod<std::uint64_t>(os, report_.deltas_accepted);
+  util::write_pod<std::uint64_t>(os, report_.deltas_quarantined);
+  util::write_pod<std::uint64_t>(os, report_.stragglers);
+  util::write_pod<std::uint64_t>(os, report_.dropouts);
+  util::write_pod<std::uint64_t>(os, report_.transfer_failures);
+  util::write_pod<std::uint64_t>(os, report_.delta_bytes_shipped);
 }
 
 void Aggregator::load_state(std::istream& is) {
-  const auto version = get_pod<std::uint32_t>(is);
-  if (version != kStateVersion) {
-    throw std::runtime_error("fed: aggregator state from a future format");
+  StateReader r(is, "fed: aggregator state");
+  if (r.pod<std::uint32_t>("header") != kStateVersion) {
+    throw ckpt::CheckpointError(ckpt::CheckpointError::Code::BadVersion,
+                                "fed: aggregator state from a future format");
   }
-  util::RngState rs;
-  for (std::uint64_t& word : rs.s) word = get_pod<std::uint64_t>(is);
-  rs.cached_normal = get_pod<double>(is);
-  rs.has_cached_normal = get_pod<std::uint8_t>(is) != 0;
-  rng_.set_state(rs);
+  rng_.set_state(r.rng_state("RNG state"));
 
-  round_index_ = get_pod<std::uint64_t>(is);
-  phase_ = static_cast<Phase>(get_pod<std::uint8_t>(is));
-  expected_params_ = get_pod<std::uint64_t>(is);
-  weight_so_far_ = get_pod<std::uint64_t>(is);
-  merged_prefix_ = get_pod<std::uint64_t>(is);
+  round_index_ = r.pod<std::uint64_t>("merge state");
+  phase_ = static_cast<Phase>(r.pod<std::uint8_t>("merge state"));
+  expected_params_ = r.pod<std::uint64_t>("merge state");
+  weight_so_far_ = r.pod<std::uint64_t>("merge state");
+  merged_prefix_ = r.pod<std::uint64_t>("merge state");
 
   accepted_.clear();
-  const auto n_accepted = get_pod<std::uint64_t>(is);
+  const auto n_accepted = r.pod<std::uint64_t>("accepted deltas");
   for (std::uint64_t i = 0; i < n_accepted; ++i) {
     AcceptedEntry e;
-    e.client = get_pod<std::uint32_t>(is);
-    e.examples = get_pod<std::uint64_t>(is);
-    e.generation = get_pod<std::uint64_t>(is);
+    e.client = r.pod<std::uint32_t>("accepted deltas");
+    e.examples = r.pod<std::uint64_t>("accepted deltas");
+    e.generation = r.pod<std::uint64_t>("accepted deltas");
     accepted_.push_back(e);
   }
   acc_.clear();
-  const auto n_acc = get_pod<std::uint64_t>(is);
+  const auto n_acc = r.pod<std::uint64_t>("merge accumulator");
   for (std::uint64_t i = 0; i < n_acc; ++i) {
-    acc_.push_back(get_pod<double>(is));
+    acc_.push_back(r.pod<double>("merge accumulator"));
   }
   failure_streak_.clear();
-  const auto n_streak = get_pod<std::uint64_t>(is);
+  const auto n_streak = r.pod<std::uint64_t>("failure streaks");
   for (std::uint64_t i = 0; i < n_streak; ++i) {
-    failure_streak_.push_back(get_pod<std::uint32_t>(is));
+    failure_streak_.push_back(r.pod<std::uint32_t>("failure streaks"));
   }
   if (failure_streak_.size() != clients_.size()) {
     throw std::runtime_error(
         "fed: aggregator checkpoint was written for a different client set");
   }
 
-  record_ = get_round(is);
+  record_ = get_round(r);
 
   report_ = FedReport{};
-  const auto n_rounds = get_pod<std::uint64_t>(is);
+  const auto n_rounds = r.pod<std::uint64_t>("report");
   for (std::uint64_t i = 0; i < n_rounds; ++i) {
-    report_.rounds.push_back(get_round(is));
+    report_.rounds.push_back(get_round(r));
   }
-  report_.rounds_published =
-      static_cast<std::size_t>(get_pod<std::uint64_t>(is));
-  report_.rounds_rolled_back =
-      static_cast<std::size_t>(get_pod<std::uint64_t>(is));
-  report_.rounds_no_quorum =
-      static_cast<std::size_t>(get_pod<std::uint64_t>(is));
-  report_.deltas_accepted =
-      static_cast<std::size_t>(get_pod<std::uint64_t>(is));
-  report_.deltas_quarantined =
-      static_cast<std::size_t>(get_pod<std::uint64_t>(is));
-  report_.stragglers = static_cast<std::size_t>(get_pod<std::uint64_t>(is));
-  report_.dropouts = static_cast<std::size_t>(get_pod<std::uint64_t>(is));
-  report_.transfer_failures =
-      static_cast<std::size_t>(get_pod<std::uint64_t>(is));
-  report_.delta_bytes_shipped = get_pod<std::uint64_t>(is);
+  report_.rounds_published = r.size("report");
+  report_.rounds_rolled_back = r.size("report");
+  report_.rounds_no_quorum = r.size("report");
+  report_.deltas_accepted = r.size("report");
+  report_.deltas_quarantined = r.size("report");
+  report_.stragglers = r.size("report");
+  report_.dropouts = r.size("report");
+  report_.transfer_failures = r.size("report");
+  report_.delta_bytes_shipped = r.pod<std::uint64_t>("report");
 }
 
 }  // namespace autolearn::fed

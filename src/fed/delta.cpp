@@ -1,7 +1,10 @@
 #include "fed/delta.hpp"
 
 #include <cmath>
-#include <cstring>
+#include <sstream>
+#include <string_view>
+
+#include "util/binio.hpp"
 
 namespace autolearn::fed {
 
@@ -9,48 +12,6 @@ namespace {
 
 constexpr char kMagic[4] = {'A', 'L', 'F', 'D'};
 constexpr std::uint32_t kVersion = 1;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[sizeof v];
-  std::memcpy(buf, &v, sizeof v);
-  out.append(buf, sizeof v);
-}
-
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  const char* take(std::size_t n) {
-    if (pos_ + n > data_.size()) {
-      throw DeltaError(DeltaError::Code::Truncated,
-                       "weight delta: truncated payload");
-    }
-    const char* p = data_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v;
-    std::memcpy(&v, take(sizeof v), sizeof v);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    std::memcpy(&v, take(sizeof v), sizeof v);
-    return v;
-  }
-  bool exhausted() const { return pos_ == data_.size(); }
-
- private:
-  const std::string& data_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -94,45 +55,41 @@ void add_scaled(ml::DrivingModel& model, const std::vector<float>& delta,
 }
 
 std::string encode_delta(const WeightDelta& delta) {
-  std::string out;
-  out.reserve(4 + 4 + 4 + delta.client.size() + 3 * 8 + 8 +
-              delta.values.size() * sizeof(float));
-  out.append(kMagic, sizeof kMagic);
-  put_u32(out, kVersion);
-  put_u32(out, static_cast<std::uint32_t>(delta.client.size()));
-  out.append(delta.client);
-  put_u64(out, delta.round);
-  put_u64(out, delta.base_version);
-  put_u64(out, delta.examples);
-  put_u64(out, delta.values.size());
-  out.append(reinterpret_cast<const char*>(delta.values.data()),
-             delta.values.size() * sizeof(float));
-  return out;
+  std::ostringstream os(std::ios::binary);
+  util::write_pod(os, kMagic);
+  util::write_pod(os, kVersion);
+  util::write_pod(os, static_cast<std::uint32_t>(delta.client.size()));
+  os.write(delta.client.data(),
+           static_cast<std::streamsize>(delta.client.size()));
+  util::write_pod(os, delta.round);
+  util::write_pod(os, delta.base_version);
+  util::write_pod(os, delta.examples);
+  util::write_pod(os, static_cast<std::uint64_t>(delta.values.size()));
+  util::write_f32_span(os, delta.values.data(), delta.values.size());
+  return os.str();
 }
 
 WeightDelta decode_delta(const std::string& payload) {
-  Reader r(payload);
-  if (std::memcmp(r.take(sizeof kMagic), kMagic, sizeof kMagic) != 0) {
+  std::istringstream is(payload, std::ios::binary);
+  util::BinReader<DeltaError> r(is, "weight delta");
+  if (r.bytes(sizeof kMagic, "magic") !=
+      std::string_view(kMagic, sizeof kMagic)) {
     throw DeltaError(DeltaError::Code::BadMagic,
                      "weight delta: bad magic");
   }
-  const std::uint32_t version = r.u32();
+  const auto version = r.pod<std::uint32_t>("version");
   if (version != kVersion) {
     throw DeltaError(DeltaError::Code::BadMagic,
                      "weight delta: unknown version " +
                          std::to_string(version));
   }
   WeightDelta out;
-  const std::uint32_t name_len = r.u32();
-  out.client.assign(r.take(name_len), name_len);
-  out.round = r.u64();
-  out.base_version = r.u64();
-  out.examples = r.u64();
-  const std::uint64_t count = r.u64();
-  out.values.resize(count);
-  std::memcpy(out.values.data(), r.take(count * sizeof(float)),
-              count * sizeof(float));
-  if (!r.exhausted()) {
+  out.client = r.string<std::uint32_t>("client name");
+  out.round = r.pod<std::uint64_t>("round");
+  out.base_version = r.pod<std::uint64_t>("base version");
+  out.examples = r.pod<std::uint64_t>("example count");
+  out.values = r.f32s(r.pod<std::uint64_t>("value count"), "values");
+  if (!r.at_end()) {
     throw DeltaError(DeltaError::Code::Truncated,
                      "weight delta: trailing bytes");
   }

@@ -178,15 +178,15 @@ class NetModel : public DrivingModel {
     util::write_rng_state(os, rng_.state());
   }
   void load_full(std::istream& is) override {
-    for (Sequential* s : nets()) s->load_params(is);
-    for (Sequential* s : nets()) s->load_state(is);
-    opt_.load_state(is);
-    util::RngState st;
-    if (!util::read_rng_state(is, st)) {
-      throw ModelLoadError(ModelLoadError::Code::Truncated,
-                           "DrivingModel: truncated RNG state");
+    std::vector<Param*> params;
+    for (Sequential* s : nets()) {
+      s->load_params(is);
+      for (Param* p : s->params()) params.push_back(p);
     }
-    rng_.set_state(st);
+    for (Sequential* s : nets()) s->load_state(is);
+    opt_.load_state(is, params);
+    util::BinReader<ModelLoadError> r(is, "DrivingModel");
+    rng_.set_state(r.rng_state("RNG state"));
     plan_.reset();
   }
 
@@ -709,37 +709,24 @@ void save_model_bundle(std::ostream& os, DrivingModel& model,
 }
 
 LoadedModelBundle load_model_bundle(std::istream& is) {
-  std::uint32_t magic = 0;
-  if (!util::read_pod(is, magic)) {
-    throw ModelLoadError(ModelLoadError::Code::Truncated,
-                         "model bundle: empty stream");
-  }
-  if (magic != kBundleMagic) {
+  util::BinReader<ModelLoadError> r(is, "model bundle");
+  if (r.pod<std::uint32_t>("header") != kBundleMagic) {
     throw ModelLoadError(ModelLoadError::Code::BadHeader,
                          "model bundle: bad magic");
   }
-  std::string type_name;
-  if (!util::read_string(is, type_name)) {
-    throw ModelLoadError(ModelLoadError::Code::Truncated,
-                         "model bundle: truncated type name");
-  }
+  const std::string type_name = r.string("type name");
   ModelConfig cfg;
-  auto read_size = [&is](std::size_t& dst) {
-    std::uint64_t v = 0;
-    if (!util::read_pod(is, v)) return false;
-    dst = static_cast<std::size_t>(v);
-    return true;
-  };
-  if (!read_size(cfg.img_w) || !read_size(cfg.img_h) ||
-      !read_size(cfg.seq_len) || !read_size(cfg.history_len) ||
-      !read_size(cfg.steering_bins) || !read_size(cfg.throttle_bins) ||
-      !util::read_pod(is, cfg.lr) || !util::read_pod(is, cfg.dropout) ||
-      !util::read_pod(is, cfg.seed) ||
-      !util::read_pod(is, cfg.inferred_throttle_base) ||
-      !util::read_pod(is, cfg.inferred_throttle_gain)) {
-    throw ModelLoadError(ModelLoadError::Code::Truncated,
-                         "model bundle: truncated config");
-  }
+  cfg.img_w = r.size("config");
+  cfg.img_h = r.size("config");
+  cfg.seq_len = r.size("config");
+  cfg.history_len = r.size("config");
+  cfg.steering_bins = r.size("config");
+  cfg.throttle_bins = r.size("config");
+  cfg.lr = r.pod<double>("config");
+  cfg.dropout = r.pod<double>("config");
+  cfg.seed = r.pod<std::uint64_t>("config");
+  cfg.inferred_throttle_base = r.pod<double>("config");
+  cfg.inferred_throttle_gain = r.pod<double>("config");
   ModelType type;
   try {
     type = model_type_from_string(type_name);

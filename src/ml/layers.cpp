@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "ml/gemm.hpp"
+#include "ml/sequential.hpp"
 #include "util/binio.hpp"
 
 namespace autolearn::ml {
@@ -156,11 +157,8 @@ void Dropout::save_state(std::ostream& os) const {
 }
 
 void Dropout::load_state(std::istream& is) {
-  util::RngState st;
-  if (!util::read_rng_state(is, st)) {
-    throw std::runtime_error("Dropout: truncated RNG state");
-  }
-  rng_.set_state(st);
+  util::BinReader<ModelLoadError> r(is, "Dropout");
+  rng_.set_state(r.rng_state("RNG state"));
 }
 
 }  // namespace autolearn::ml

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ml/sequential.hpp"
 #include "util/binio.hpp"
 
 namespace autolearn::ml {
@@ -82,33 +83,42 @@ void save_slots(std::ostream& os, const std::vector<Tensor>& slots) {
   }
 }
 
-void load_slots(std::istream& is, std::vector<Tensor>& slots,
-                const char* who) {
-  std::uint64_t count = 0;
-  if (!util::read_pod(is, count)) {
-    throw std::runtime_error(std::string(who) + ": truncated slot count");
+// A slot list is empty (the optimizer has not stepped yet) or holds one
+// slot per parameter, sized like it: step() indexes each parameter by its
+// slot's size, so any other shape would run past the parameter's end.
+std::vector<Tensor> load_slots(std::istream& is,
+                               const std::vector<Param*>& params,
+                               const char* who) {
+  util::BinReader<ModelLoadError> r(is, who);
+  const auto count = r.pod<std::uint64_t>("slot count");
+  if (count != 0 && count != params.size()) {
+    throw ModelLoadError(ModelLoadError::Code::ShapeMismatch,
+                         std::string(who) + ": checkpoint holds " +
+                             std::to_string(count) + " slots for " +
+                             std::to_string(params.size()) + " parameters");
   }
   std::vector<Tensor> loaded;
-  loaded.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t n = 0;
-    if (!util::read_pod(is, n)) {
-      throw std::runtime_error(std::string(who) + ": truncated slot size");
+    const std::size_t n = params[i]->value.size();
+    if (r.pod<std::uint64_t>("slot size") != n) {
+      throw ModelLoadError(ModelLoadError::Code::ShapeMismatch,
+                           std::string(who) + ": slot " + std::to_string(i) +
+                               " does not match its parameter");
     }
-    Tensor t({static_cast<std::size_t>(n)});
-    if (!util::read_f32_span(is, t.data(), t.size())) {
-      throw std::runtime_error(std::string(who) + ": truncated slot data");
-    }
+    Tensor t({n});
+    r.f32s(t.data(), n, "slot data");
     loaded.push_back(std::move(t));
   }
-  slots = std::move(loaded);
+  return loaded;
 }
 
 }  // namespace
 
 void SGD::save_state(std::ostream& os) const { save_slots(os, velocity_); }
 
-void SGD::load_state(std::istream& is) { load_slots(is, velocity_, "SGD"); }
+void SGD::load_state(std::istream& is, const std::vector<Param*>& params) {
+  velocity_ = load_slots(is, params, "SGD");
+}
 
 void Adam::save_state(std::ostream& os) const {
   util::write_pod(os, static_cast<std::uint64_t>(t_));
@@ -116,14 +126,18 @@ void Adam::save_state(std::ostream& os) const {
   save_slots(os, v_);
 }
 
-void Adam::load_state(std::istream& is) {
-  std::uint64_t t = 0;
-  if (!util::read_pod(is, t)) {
-    throw std::runtime_error("Adam: truncated step counter");
+void Adam::load_state(std::istream& is, const std::vector<Param*>& params) {
+  const std::size_t t =
+      util::BinReader<ModelLoadError>(is, "Adam").size("step counter");
+  std::vector<Tensor> m = load_slots(is, params, "Adam");
+  std::vector<Tensor> v = load_slots(is, params, "Adam");
+  if (m.size() != v.size()) {
+    throw ModelLoadError(ModelLoadError::Code::ShapeMismatch,
+                         "Adam: first and second moments differ in count");
   }
-  t_ = static_cast<std::size_t>(t);
-  load_slots(is, m_, "Adam");
-  load_slots(is, v_, "Adam");
+  t_ = t;
+  m_ = std::move(m);
+  v_ = std::move(v);
 }
 
 }  // namespace autolearn::ml

@@ -18,9 +18,11 @@ class Optimizer {
 
   /// Checkpoint hooks: slot tensors (momentum / Adam moments) and step
   /// counters are training state — without them a restored fit diverges
-  /// from the uninterrupted run on the first update.
+  /// from the uninterrupted run on the first update. load_state throws
+  /// ModelLoadError (ShapeMismatch when the slots do not fit `params`).
   virtual void save_state(std::ostream& os) const = 0;
-  virtual void load_state(std::istream& is) = 0;
+  virtual void load_state(std::istream& is,
+                          const std::vector<Param*>& params) = 0;
 };
 
 /// SGD with classical momentum.
@@ -30,7 +32,8 @@ class SGD : public Optimizer {
   void step(const std::vector<Param*>& params) override;
   std::string name() const override { return "sgd"; }
   void save_state(std::ostream& os) const override;
-  void load_state(std::istream& is) override;
+  void load_state(std::istream& is,
+                  const std::vector<Param*>& params) override;
 
  private:
   double lr_, momentum_;
@@ -45,7 +48,8 @@ class Adam : public Optimizer {
   void step(const std::vector<Param*>& params) override;
   std::string name() const override { return "adam"; }
   void save_state(std::ostream& os) const override;
-  void load_state(std::istream& is) override;
+  void load_state(std::istream& is,
+                  const std::vector<Param*>& params) override;
 
  private:
   double lr_, beta1_, beta2_, eps_;

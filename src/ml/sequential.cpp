@@ -66,20 +66,12 @@ void Sequential::save_params(std::ostream& os) {
 
 void Sequential::load_params(std::istream& is) {
   const auto ps = params();
-  std::uint32_t magic = 0;
-  if (!util::read_pod(is, magic)) {
-    throw ModelLoadError(ModelLoadError::Code::Truncated,
-                         "Sequential: empty checkpoint stream");
-  }
-  if (magic != kParamsMagic) {
+  util::BinReader<ModelLoadError> r(is, "Sequential");
+  if (r.pod<std::uint32_t>("header") != kParamsMagic) {
     throw ModelLoadError(ModelLoadError::Code::BadHeader,
                          "Sequential: not a parameter checkpoint");
   }
-  std::uint64_t count = 0;
-  if (!util::read_pod(is, count)) {
-    throw ModelLoadError(ModelLoadError::Code::Truncated,
-                         "Sequential: truncated tensor count");
-  }
+  const auto count = r.pod<std::uint64_t>("tensor count");
   if (count != ps.size()) {
     throw ModelLoadError(
         ModelLoadError::Code::LayerCountMismatch,
@@ -90,19 +82,10 @@ void Sequential::load_params(std::istream& is) {
   // the whole stream checked out so a bad checkpoint cannot half-load.
   std::vector<std::vector<float>> staged(ps.size());
   for (std::size_t i = 0; i < ps.size(); ++i) {
-    std::uint32_t rank = 0;
-    if (!util::read_pod(is, rank)) {
-      throw ModelLoadError(ModelLoadError::Code::Truncated,
-                           "Sequential: truncated tensor header");
-    }
-    std::vector<std::size_t> shape(rank);
+    const auto rank = r.pod<std::uint32_t>("tensor header");
+    std::vector<std::size_t> shape;
     for (std::uint32_t d = 0; d < rank; ++d) {
-      std::uint64_t dim = 0;
-      if (!util::read_pod(is, dim)) {
-        throw ModelLoadError(ModelLoadError::Code::Truncated,
-                             "Sequential: truncated tensor shape");
-      }
-      shape[d] = static_cast<std::size_t>(dim);
+      shape.push_back(r.size("tensor shape"));
     }
     if (shape != ps[i]->value.shape()) {
       throw ModelLoadError(
@@ -110,10 +93,7 @@ void Sequential::load_params(std::istream& is) {
           "Sequential: tensor " + std::to_string(i) + " shape mismatch");
     }
     staged[i].resize(ps[i]->value.size());
-    if (!util::read_f32_span(is, staged[i].data(), staged[i].size())) {
-      throw ModelLoadError(ModelLoadError::Code::Truncated,
-                           "Sequential: truncated tensor data");
-    }
+    r.f32s(staged[i].data(), staged[i].size(), "tensor data");
   }
   for (std::size_t i = 0; i < ps.size(); ++i) {
     std::copy(staged[i].begin(), staged[i].end(), ps[i]->value.data());

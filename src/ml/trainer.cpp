@@ -235,11 +235,6 @@ TrainResult Trainer::fit() {
 namespace {
 // "ALTR": trainer-state magic inside the checkpoint payload.
 constexpr std::uint32_t kTrainerMagic = 0x52544c41;
-
-[[noreturn]] void truncated(const char* what) {
-  throw ModelLoadError(ModelLoadError::Code::Truncated,
-                       std::string("Trainer: truncated ") + what);
-}
 }  // namespace
 
 void Trainer::save_state(std::ostream& os) {
@@ -268,16 +263,13 @@ void Trainer::save_state(std::ostream& os) {
 }
 
 void Trainer::load_state(std::istream& is) {
-  std::uint32_t magic = 0;
-  if (!util::read_pod(is, magic)) truncated("header");
-  if (magic != kTrainerMagic) {
+  util::BinReader<ModelLoadError> r(is, "Trainer");
+  if (r.pod<std::uint32_t>("header") != kTrainerMagic) {
     throw ModelLoadError(ModelLoadError::Code::BadHeader,
                          "Trainer: not a trainer checkpoint");
   }
-  util::RngState rng_state;
-  if (!util::read_rng_state(is, rng_state)) truncated("RNG state");
-  std::uint64_t order_count = 0;
-  if (!util::read_pod(is, order_count)) truncated("order size");
+  const util::RngState rng_state = r.rng_state("RNG state");
+  const std::size_t order_count = r.size("order size");
   if (order_count != train_.size()) {
     throw std::invalid_argument(
         "Trainer: checkpoint was taken over a different dataset (" +
@@ -285,36 +277,33 @@ void Trainer::load_state(std::istream& is) {
         std::to_string(train_.size()) + " samples)");
   }
   std::vector<std::size_t> order(order_count);
-  for (std::uint64_t i = 0; i < order_count; ++i) {
-    std::uint64_t v = 0;
-    if (!util::read_pod(is, v)) truncated("order");
-    order[i] = static_cast<std::size_t>(v);
+  for (std::size_t& index : order) {
+    index = r.size("order");
+    if (index >= train_.size()) {
+      throw std::invalid_argument(
+          "Trainer: checkpoint shuffle index " + std::to_string(index) +
+          " is out of range for " + std::to_string(train_.size()) +
+          " samples");
+    }
   }
-  auto read_size = [&is](const char* what) {
-    std::uint64_t v = 0;
-    if (!util::read_pod(is, v)) truncated(what);
-    return static_cast<std::size_t>(v);
-  };
-  const std::size_t epoch = read_size("epoch");
-  const std::size_t next_index = read_size("index");
-  double epoch_loss = 0;
-  if (!util::read_pod(is, epoch_loss)) truncated("loss accumulator");
-  const std::size_t epoch_seen = read_size("seen counter");
-  const std::size_t history_count = read_size("history size");
-  std::vector<EpochStats> history(history_count);
-  for (EpochStats& s : history) {
-    if (!util::read_pod(is, s.train_loss)) truncated("history");
-    if (!util::read_pod(is, s.val_loss)) truncated("history");
+  const std::size_t epoch = r.size("epoch");
+  const std::size_t next_index = r.size("index");
+  const auto epoch_loss = r.pod<double>("loss accumulator");
+  const std::size_t epoch_seen = r.size("seen counter");
+  const std::size_t history_count = r.size("history size");
+  std::vector<EpochStats> history;
+  for (std::size_t i = 0; i < history_count; ++i) {
+    EpochStats s;
+    s.train_loss = r.pod<double>("history");
+    s.val_loss = r.pod<double>("history");
+    history.push_back(s);
   }
-  const std::size_t samples_seen = read_size("sample counter");
-  const std::size_t epochs_run = read_size("epoch counter");
-  double best_val_loss = 0;
-  if (!util::read_pod(is, best_val_loss)) truncated("best val loss");
-  const std::size_t since_best = read_size("patience counter");
-  std::string best_weights;
-  if (!util::read_string(is, best_weights)) truncated("best snapshot");
-  std::uint64_t global_step = 0;
-  if (!util::read_pod(is, global_step)) truncated("step counter");
+  const std::size_t samples_seen = r.size("sample counter");
+  const std::size_t epochs_run = r.size("epoch counter");
+  const auto best_val_loss = r.pod<double>("best val loss");
+  const std::size_t since_best = r.size("patience counter");
+  std::string best_weights = r.string("best snapshot");
+  const auto global_step = r.pod<std::uint64_t>("step counter");
   // The model load is transactional on its own; commit the loop state only
   // after everything (model included) deserialized cleanly.
   model_.load_full(is);

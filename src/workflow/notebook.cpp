@@ -133,23 +133,13 @@ void Notebook::save_state(std::ostream& os) {
 }
 
 void Notebook::load_state(std::istream& is) {
-  std::string title;
-  if (!util::read_string(is, title)) {
-    throw std::runtime_error("notebook: truncated checkpoint");
-  }
-  std::uint64_t done = 0;
-  if (!util::read_pod(is, done)) {
-    throw std::runtime_error("notebook: truncated checkpoint");
-  }
+  util::BinReader<ckpt::CheckpointError> r(is, "notebook");
+  r.string("title");  // provenance only: cells are matched by label
+  const auto done = r.pod<std::uint64_t>("cell count");
   std::vector<std::pair<std::string, std::string>> cells;
-  cells.reserve(done);
   for (std::uint64_t i = 0; i < done; ++i) {
-    std::pair<std::string, std::string> cell;
-    if (!util::read_string(is, cell.first) ||
-        !util::read_string(is, cell.second)) {
-      throw std::runtime_error("notebook: truncated checkpoint");
-    }
-    cells.push_back(std::move(cell));
+    std::string label = r.string("cell label");
+    cells.emplace_back(std::move(label), r.string("cell output"));
   }
   restored_cells_ = std::move(cells);
 }

@@ -6,6 +6,7 @@
 // train_batch; covered models: linear, rnn, conv3d.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -277,6 +278,33 @@ TEST(ChaosPreemption, ResumeRejectsADifferentDataset) {
   const std::vector<Sample> other = synthetic_dataset(8, fx.cfg, 99);
   auto model = fx.fresh_model();
   Trainer trainer(*model, other, fx.val, opt);
+  EXPECT_THROW(trainer.fit(), std::invalid_argument);
+}
+
+TEST(ChaosPreemption, ResumeRejectsAnOutOfRangeShuffleIndex) {
+  const Fixture fx(ModelType::Linear);
+  const std::vector<Sample> train = synthetic_dataset(8, fx.cfg, 99);
+  std::string state;
+  {
+    auto model = fx.fresh_model();
+    Trainer trainer(*model, train, fx.val, base_options());
+    std::ostringstream os;
+    trainer.save_state(os);
+    state = os.str();
+  }
+  // The shuffle order follows the magic, the 41-byte RNG state and the
+  // order size; point its first index far past the 8 samples.
+  const std::size_t first_index_at = 4 + 41 + 8;
+  const std::uint64_t bad = 1000000;
+  std::memcpy(state.data() + first_index_at, &bad, sizeof bad);
+
+  objectstore::ObjectStore os;
+  ckpt::CheckpointStore store(os);
+  store.save("trainer", state, {});
+  TrainOptions opt = base_options();
+  opt.checkpoint_store = &store;
+  auto model = fx.fresh_model();
+  Trainer trainer(*model, train, fx.val, opt);
   EXPECT_THROW(trainer.fit(), std::invalid_argument);
 }
 

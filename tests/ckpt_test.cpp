@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -65,13 +66,38 @@ TEST(Envelope, DetectsFlippedPayloadByte) {
 }
 
 TEST(Envelope, DetectsTruncation) {
-  auto bytes = encode_envelope("some payload that gets cut", sample_info());
-  bytes.resize(bytes.size() / 2);
+  const auto bytes =
+      encode_envelope("some payload that gets cut", sample_info());
+  // Every proper prefix fails with the envelope's typed error (a prefix
+  // shorter than the header may report BadMagic), never another exception.
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + n);
+    EXPECT_THROW(decode_envelope(cut), CheckpointError) << n << " bytes";
+  }
+  auto half = bytes;
+  half.resize(bytes.size() / 2);
   try {
-    decode_envelope(bytes);
+    decode_envelope(half);
     FAIL() << "truncated envelope decoded";
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.code(), CheckpointError::Code::Truncated);
+  }
+  // A length field claiming 2^40 bytes is a truncation, not a 1 TiB
+  // allocation. The note length follows the 30-byte fixed header; the
+  // payload length follows the note.
+  const std::size_t note_len_at = 30;
+  const std::size_t payload_len_at =
+      note_len_at + 8 + sample_info().note.size();
+  for (const std::size_t at : {note_len_at, payload_len_at}) {
+    auto huge = bytes;
+    const std::uint64_t claim = std::uint64_t{1} << 40;
+    std::memcpy(huge.data() + at, &claim, sizeof claim);
+    try {
+      decode_envelope(huge);
+      FAIL() << "2^40-byte length field decoded";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.code(), CheckpointError::Code::Truncated) << "at " << at;
+    }
   }
 }
 
@@ -187,6 +213,26 @@ TEST(CheckpointStore, TruncatedUploadFallsBackAGeneration) {
   EXPECT_EQ(loaded->payload, "intact");
   EXPECT_EQ(store.quarantined(), 1u);
   EXPECT_TRUE(store.manifest("trainer").back().quarantined);
+}
+
+TEST(CheckpointStore, CorruptLengthFieldFallsBackAGeneration) {
+  objectstore::ObjectStore os;
+  CheckpointStore store(os);
+  store.save("trainer", "intact", CheckpointInfo{});
+  store.save("trainer", "length-gets-flipped", CheckpointInfo{});
+
+  // Flip bit 40 of generation 2's payload-length field: byte 43, since the
+  // field follows the 30-byte fixed header and the empty note's length.
+  auto obj = os.get("checkpoints", "trainer#gen-2");
+  ASSERT_TRUE(obj.has_value());
+  obj->bytes[43] ^= 0x01;
+  os.put("checkpoints", "trainer#gen-2", obj->bytes, obj->metadata);
+
+  const auto loaded = store.load_latest("trainer");
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->payload, "intact");
+  EXPECT_EQ(loaded->generation.generation, 1u);
+  EXPECT_EQ(store.quarantined(), 1u);
 }
 
 TEST(CheckpointStore, SpillsEnvelopesToLocalFiles) {

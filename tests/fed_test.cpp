@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/checkpoint.hpp"
 #include "fault/chaos.hpp"
 #include "fault/preempt.hpp"
 #include "fed/aggregator.hpp"
@@ -155,11 +156,28 @@ TEST(DeltaCodec, RejectsForeignBytes) {
 }
 
 TEST(DeltaCodec, RejectsTruncation) {
-  std::string bytes = encode_delta(sample_delta());
-  bytes.resize(bytes.size() - 5);
+  const std::string bytes = encode_delta(sample_delta());
+  // Every proper prefix fails with DeltaError, never another exception.
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    EXPECT_THROW(decode_delta(bytes.substr(0, n)), DeltaError)
+        << n << " bytes";
+  }
   try {
-    decode_delta(bytes);
+    decode_delta(bytes.substr(0, bytes.size() - 5));
     FAIL() << "truncated delta decoded";
+  } catch (const DeltaError& e) {
+    EXPECT_EQ(e.code(), DeltaError::Code::Truncated);
+  }
+  // A value count claiming 2^40 floats is a truncation, not a 4 TiB
+  // allocation. The count follows magic, version, the length-prefixed
+  // client name and three u64 header fields.
+  std::string huge = bytes;
+  const std::size_t count_at = 4 + 4 + 4 + sample_delta().client.size() + 24;
+  const std::uint64_t claim = std::uint64_t{1} << 40;
+  std::memcpy(huge.data() + count_at, &claim, sizeof claim);
+  try {
+    decode_delta(huge);
+    FAIL() << "2^40-value delta decoded";
   } catch (const DeltaError& e) {
     EXPECT_EQ(e.code(), DeltaError::Code::Truncated);
   }
@@ -419,6 +437,21 @@ TEST(FedAggregator, PreemptedMergeResumesBitwiseIdentically) {
       << "published model differs after resume";
   EXPECT_EQ(killed.registry.shard(0).version(),
             plain.registry.shard(0).version());
+}
+
+TEST(FedAggregator, TruncatedStateIsACheckpointError) {
+  FedOptions opt = test_options();
+  opt.rounds = 1;
+  FedRig rig(opt);
+  rig.agg->run();
+  std::ostringstream os;
+  rig.agg->save_state(os);
+  const std::string state = os.str();
+  for (std::size_t n = 0; n < state.size(); ++n) {
+    std::istringstream cut(state.substr(0, n));
+    EXPECT_THROW(rig.agg->load_state(cut), ckpt::CheckpointError)
+        << n << " bytes";
+  }
 }
 
 TEST(FedAggregator, EveryMergeKillPointResumesToTheSameModel) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "ckpt/checkpoint.hpp"
 #include "ml/driving_model.hpp"
@@ -14,6 +16,7 @@
 #include "ml/sequential.hpp"
 #include "ml/trainer.hpp"
 #include "objectstore/objectstore.hpp"
+#include "util/binio.hpp"
 
 namespace autolearn::ml {
 namespace {
@@ -286,6 +289,20 @@ TEST(Sequential, TruncatedStreamLeavesTheTargetUntouched) {
   const Tensor x = Tensor::randn({2, 4}, probe_rng, 1.0);
   const Tensor before = b.forward(x, false);
 
+  // The load is transactional: a failed validation must not have copied
+  // any tensor into the target network.
+  auto expect_untouched = [&] {
+    const Tensor after = b.forward(x, false);
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      ASSERT_EQ(before[i], after[i]);
+    }
+  };
+  // Every proper prefix fails with ModelLoadError, never another exception.
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    std::istringstream cut(bytes.substr(0, n));
+    EXPECT_THROW(b.load_params(cut), ModelLoadError) << n << " bytes";
+    expect_untouched();
+  }
   std::istringstream cut(bytes.substr(0, bytes.size() / 2));
   try {
     b.load_params(cut);
@@ -293,12 +310,20 @@ TEST(Sequential, TruncatedStreamLeavesTheTargetUntouched) {
   } catch (const ModelLoadError& e) {
     EXPECT_EQ(e.code(), ModelLoadError::Code::Truncated);
   }
-  // The load is transactional: a failed validation must not have copied
-  // any tensor into the target network.
-  const Tensor after = b.forward(x, false);
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i], after[i]);
+  expect_untouched();
+  // The first tensor's u32 rank (after the magic and the u64 tensor count)
+  // claiming 2^32 - 1 dimensions is a truncation, not a 32 GiB allocation.
+  std::string huge = bytes;
+  const std::uint32_t claim = 0xffffffffu;
+  std::memcpy(huge.data() + 4 + 8, &claim, sizeof claim);
+  std::istringstream huge_rank(huge);
+  try {
+    b.load_params(huge_rank);
+    FAIL() << "2^32-1 rank loaded";
+  } catch (const ModelLoadError& e) {
+    EXPECT_EQ(e.code(), ModelLoadError::Code::Truncated);
   }
+  expect_untouched();
 }
 
 TEST(Sequential, LoadRejectsForeignBytes) {
@@ -449,6 +474,70 @@ TEST(Models, SaveLoadPreservesPredictions) {
       const Prediction b = m2->predict(data[static_cast<std::size_t>(i)]);
       EXPECT_NEAR(a.steering, b.steering, 1e-6) << to_string(t);
       EXPECT_NEAR(a.throttle, b.throttle, 1e-6) << to_string(t);
+    }
+  }
+}
+
+TEST(Models, LoadFullRejectsOptimizerSlotsThatDoNotFitTheModel) {
+  const ModelConfig cfg = tiny_config();
+  const auto data = synthetic_dataset(4, cfg, 43);
+  std::vector<const Sample*> batch;
+  for (const Sample& s : data) batch.push_back(&s);
+  auto trained = make_model(ModelType::Linear, cfg);
+  trained->train_batch(batch);  // populates the Adam moments
+
+  // save_full is the parameters, the layer states, Adam (step counter,
+  // then the m and v slot lists) and the model RNG state. Keep the rest
+  // and forge the Adam section.
+  std::ostringstream head;
+  trained->save(head);
+  std::vector<Param*> params;
+  for (Sequential* s : trained->mutable_nets()) {
+    s->save_state(head);
+    for (Param* p : s->params()) params.push_back(p);
+  }
+  std::ostringstream rng_state;
+  util::write_rng_state(rng_state, util::RngState{});
+  std::ostringstream full;
+  trained->save_full(full);
+  const std::string tail =
+      full.str().substr(full.str().size() - rng_state.str().size());
+  auto forge = [&](std::size_t slots, std::size_t extra) {
+    std::ostringstream os;
+    os << head.str();
+    util::write_pod(os, std::uint64_t{1});
+    for (int moment = 0; moment < 2; ++moment) {
+      util::write_pod(os, static_cast<std::uint64_t>(slots));
+      for (std::size_t i = 0; i < slots; ++i) {
+        const std::size_t n =
+            params[i % params.size()]->value.size() + (i == 0 ? extra : 0);
+        util::write_pod(os, static_cast<std::uint64_t>(n));
+        const std::vector<float> zeros(n, 0.0f);
+        util::write_f32_span(os, zeros.data(), n);
+      }
+    }
+    os << tail;
+    return os.str();
+  };
+
+  // Well-formed slots load: a fresh optimizer (no slots) and a full set.
+  for (const std::size_t slots : {std::size_t{0}, params.size()}) {
+    auto target = make_model(ModelType::Linear, cfg);
+    std::istringstream is(forge(slots, 0));
+    EXPECT_NO_THROW(target->load_full(is)) << slots << " slots";
+  }
+  // A slot longer than its parameter, one slot too few, one too many.
+  const std::pair<std::size_t, std::size_t> bad[] = {
+      {params.size(), 4096}, {params.size() - 1, 0}, {params.size() + 1, 0}};
+  for (const auto& [slots, extra] : bad) {
+    auto target = make_model(ModelType::Linear, cfg);
+    std::istringstream is(forge(slots, extra));
+    try {
+      target->load_full(is);
+      target->train_batch(batch);  // Adam::step would index past the param
+      FAIL() << slots << " slots, +" << extra << " loaded";
+    } catch (const ModelLoadError& e) {
+      EXPECT_EQ(e.code(), ModelLoadError::Code::ShapeMismatch);
     }
   }
 }

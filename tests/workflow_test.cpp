@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 
 #include "ckpt/checkpoint.hpp"
@@ -196,6 +197,13 @@ TEST(Notebook, CheckpointValidation) {
   ckpt::CheckpointStore store(os);
   Notebook nb("v");
   EXPECT_THROW(nb.enable_checkpoints(store, ""), std::invalid_argument);
+
+  nb.add_cell("collect", [] { return "rows"; });
+  EXPECT_EQ(nb.run_all(), 1u);
+  std::ostringstream state;
+  nb.save_state(state);
+  std::istringstream cut(state.str().substr(0, state.str().size() - 1));
+  EXPECT_THROW(nb.load_state(cut), ckpt::CheckpointError);
 }
 
 }  // namespace
