@@ -5,6 +5,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace autolearn::data {
@@ -39,6 +40,16 @@ camera::Image read_pgm(const std::filesystem::path& path) {
     throw std::runtime_error("read_pgm: bad header");
   }
   is.get();  // single whitespace after header
+  // Size the image only once the file is known to hold its w * h bytes;
+  // dividing instead of multiplying keeps a huge header from wrapping.
+  const std::streamoff data_at = is.tellg();
+  std::error_code ec;
+  const std::uintmax_t file_bytes = std::filesystem::file_size(path, ec);
+  if (!is || ec || data_at < 0 ||
+      static_cast<std::uintmax_t>(data_at) > file_bytes ||
+      w > (file_bytes - static_cast<std::uintmax_t>(data_at)) / h) {
+    throw std::runtime_error("read_pgm: truncated data");
+  }
   camera::Image img(w, h);
   std::vector<unsigned char> row(w);
   for (std::size_t y = 0; y < h; ++y) {

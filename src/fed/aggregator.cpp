@@ -419,6 +419,7 @@ void Aggregator::merge_round() {
       throw std::logic_error("fed: accepted delta vanished before merge");
     }
     const WeightDelta d = decode_delta(loaded->payload);
+    validate_delta(d, acc_.size());
 
     // Running weighted mean: checkpointable after every step, and exactly
     // equal to sum(w_i * d_i) / sum(w_i) once the prefix is complete.
@@ -604,7 +605,12 @@ void Aggregator::load_state(std::istream& is) {
   rng_.set_state(r.rng_state("RNG state"));
 
   round_index_ = r.pod<std::uint64_t>("merge state");
-  phase_ = static_cast<Phase>(r.pod<std::uint8_t>("merge state"));
+  const auto phase = r.pod<std::uint8_t>("merge state");
+  if (phase != static_cast<std::uint8_t>(Phase::Collect) &&
+      phase != static_cast<std::uint8_t>(Phase::Merge)) {
+    throw std::runtime_error("fed: aggregator checkpoint has an unknown phase");
+  }
+  phase_ = static_cast<Phase>(phase);
   expected_params_ = r.pod<std::uint64_t>("merge state");
   weight_so_far_ = r.pod<std::uint64_t>("merge state");
   merged_prefix_ = r.pod<std::uint64_t>("merge state");
@@ -634,6 +640,26 @@ void Aggregator::load_state(std::istream& is) {
   }
 
   record_ = get_round(r);
+  // A resumed merge reads every delta value up to the accumulator's
+  // length, and indexes clients by the accepted entries and the record.
+  if (phase_ == Phase::Merge) {
+    if (acc_.size() != expected_params_) {
+      throw std::runtime_error(
+          "fed: aggregator checkpoint's merge accumulator has " +
+          std::to_string(acc_.size()) + " entries, expected " +
+          std::to_string(expected_params_));
+    }
+    const bool known_clients =
+        record_.clients.size() == clients_.size() &&
+        std::all_of(accepted_.begin(), accepted_.end(),
+                    [&](const AcceptedEntry& e) {
+                      return e.client < clients_.size();
+                    });
+    if (!known_clients) {
+      throw std::runtime_error(
+          "fed: aggregator checkpoint was written for a different client set");
+    }
+  }
 
   report_ = FedReport{};
   const auto n_rounds = r.pod<std::uint64_t>("report");

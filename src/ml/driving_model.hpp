@@ -93,7 +93,7 @@ class DrivingModel {
 
   /// Batched inference: fills out[0..n) from obs[0..n). The zoo models
   /// run the batch through their compiled plan in chunks of its cap (one
-  /// im2col + sgemm per layer per chunk instead of per sample), which is
+  /// kernel call per layer per chunk instead of per sample), which is
   /// what makes fleet serving amortize per-call cost; the base
   /// implementation is a per-sample fallback loop for external subclasses.
   virtual void predict_batch(const Sample* obs, std::size_t n,

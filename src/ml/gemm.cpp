@@ -38,9 +38,12 @@ std::atomic<std::uint64_t> g_qgemm_calls{0};
 std::atomic<std::uint64_t> g_qgemm_ops{0};
 
 // Packing scratch is per worker thread and only ever grows, so steady
-// state does no allocation.
+// state does no allocation. conv_implicit_gemm packs its weights into the
+// calling thread's tl_pack_a and its tap/position offsets into
+// tl_conv_offsets, which every worker then reads.
 thread_local std::vector<float> tl_pack_a;
 thread_local std::vector<float> tl_pack_b;
+thread_local std::vector<std::size_t> tl_conv_offsets;
 
 inline const float& at(const float* x, std::size_t ld, bool trans,
                        std::size_t row, std::size_t col) {
@@ -113,6 +116,104 @@ void micro_kernel_base(std::size_t kc, const float* __restrict pa,
   AUTOLEARN_MICRO_KERNEL_BODY
 }
 
+// Implicit-GEMM convolution of one sample (conv_implicit_gemm). A CT x CT
+// register tile covers CT output channels (the vector lanes) at CT output
+// positions (one accumulator each). Every patch element is broadcast
+// straight from the input at x + tap[r] + pos[q], so no B panel is packed,
+// and each packed weight vector feeds CT multiply-adds. Each element gets
+// micro_kernel's arithmetic: a zeroed accumulator, one `acc += w * x` per
+// patch row in order, KC blocks summed as gemm_tile sums them. Then come
+// `+ bias` and the optional ReLU, and an in-register transpose turns the
+// tile into channel rows stored straight to y [OC, P]. The body is plain
+// C on GCC vector types, inlined into the two ISA variants below and
+// picked by micro_kernel's dispatch, so its multiply-adds fuse exactly
+// when micro_kernel's do, at every -O level.
+constexpr std::size_t CT = 8;
+typedef float v8sf __attribute__((vector_size(CT * sizeof(float))));
+typedef int v8si __attribute__((vector_size(CT * sizeof(int))));
+
+/// r[j][i] <-> r[i][j]: unpack, shuffle, then swap 128-bit halves.
+[[gnu::always_inline]] inline void transpose8(v8sf* r) {
+  const v8si lo = {0, 8, 1, 9, 4, 12, 5, 13}, hi = {2, 10, 3, 11, 6, 14, 7, 15};
+  const v8si ev = {0, 1, 8, 9, 4, 5, 12, 13}, od = {2, 3, 10, 11, 6, 7, 14, 15};
+  const v8si h0 = {0, 1, 2, 3, 8, 9, 10, 11}, h1 = {4, 5, 6, 7, 12, 13, 14, 15};
+  v8sf t[CT], u[CT];
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < CT; j += 2) {
+    t[j] = __builtin_shuffle(r[j], r[j + 1], lo);
+    t[j + 1] = __builtin_shuffle(r[j], r[j + 1], hi);
+  }
+#pragma GCC unroll 2
+  for (std::size_t j = 0; j < CT; j += 4) {
+    u[j] = __builtin_shuffle(t[j], t[j + 2], ev);
+    u[j + 1] = __builtin_shuffle(t[j], t[j + 2], od);
+    u[j + 2] = __builtin_shuffle(t[j + 1], t[j + 3], ev);
+    u[j + 3] = __builtin_shuffle(t[j + 1], t[j + 3], od);
+  }
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < CT / 2; ++j) {
+    r[j] = __builtin_shuffle(u[j], u[j + 4], h0);
+    r[j + 4] = __builtin_shuffle(u[j], u[j + 4], h1);
+  }
+}
+
+// x: the sample's input; tap[k], pos[p rounded up to CT]: patch offsets;
+// pa: the weights packed as CT-channel panels [k][CT]; y: [oc, p].
+[[gnu::always_inline]] inline void conv_sample_body(
+    const float* x, const std::size_t* tap, const std::size_t* pos,
+    std::size_t k, std::size_t p, std::size_t oc, const float* pa,
+    const float* bias, bool relu, float* y) {
+  for (std::size_t o0 = 0; o0 < oc; o0 += CT) {
+    const float* pao = pa + o0 * k;
+    const std::size_t mr = std::min(CT, oc - o0);
+    v8sf bv = {};
+    for (std::size_t i = 0; i < mr; ++i) bv[i] = bias[o0 + i];
+    for (std::size_t q0 = 0; q0 < p; q0 += CT) {
+      const float* xq[CT];
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < CT; ++j) xq[j] = x + pos[q0 + j];
+      v8sf sum[CT];
+      for (std::size_t p0 = 0; p0 < k; p0 += KC) {
+        const std::size_t p1 = std::min(k, p0 + KC);
+        v8sf acc[CT] = {};
+        for (std::size_t r = p0; r < p1; ++r) {
+          v8sf w;
+          std::memcpy(&w, pao + r * CT, sizeof w);
+          const std::size_t t = tap[r];
+#pragma GCC unroll 8
+          for (std::size_t j = 0; j < CT; ++j) acc[j] += w * xq[j][t];
+        }
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < CT; ++j) {
+          sum[j] = p0 == 0 ? acc[j] : sum[j] + acc[j];
+        }
+      }
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < CT; ++j) {
+        const v8sf t = sum[j] + bv;
+        sum[j] = relu ? (t > 0.0f ? t : v8sf{}) : t;
+      }
+      transpose8(sum);
+      const std::size_t np = std::min(CT, p - q0);
+      for (std::size_t i = 0; i < mr; ++i) {
+        float* yr = y + (o0 + i) * p + q0;
+        if (np == CT) {
+          std::memcpy(yr, &sum[i], sizeof sum[i]);
+        } else {
+          for (std::size_t j = 0; j < np; ++j) yr[j] = sum[i][j];
+        }
+      }
+    }
+  }
+}
+
+void conv_sample_base(const float* x, const std::size_t* tap,
+                      const std::size_t* pos, std::size_t k, std::size_t p,
+                      std::size_t oc, const float* pa, const float* bias,
+                      bool relu, float* y) {
+  conv_sample_body(x, tap, pos, k, p, oc, pa, bias, relu, y);
+}
+
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #define AUTOLEARN_GEMM_DISPATCH 1
 // Pinned to a cache-line boundary: otherwise the kernel's loop lands
@@ -124,21 +225,34 @@ void micro_kernel_base(std::size_t kc, const float* __restrict pa,
     float out[MR][NR]) {
   AUTOLEARN_MICRO_KERNEL_BODY
 }
+
+[[gnu::target("avx2,fma"), gnu::aligned(64)]] void conv_sample_avx2(
+    const float* x, const std::size_t* tap, const std::size_t* pos,
+    std::size_t k, std::size_t p, std::size_t oc, const float* pa,
+    const float* bias, bool relu, float* y) {
+  conv_sample_body(x, tap, pos, k, p, oc, pa, bias, relu, y);
+}
 #endif
 
 using MicroKernelFn = void (*)(std::size_t, const float*, const float*,
                                float[MR][NR]);
+using ConvSampleFn = void (*)(const float*, const std::size_t*,
+                              const std::size_t*, std::size_t, std::size_t,
+                              std::size_t, const float*, const float*, bool,
+                              float*);
 
-MicroKernelFn pick_micro_kernel() {
 #ifdef AUTOLEARN_GEMM_DISPATCH
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return micro_kernel_avx2;
-  }
+// One ISA choice for both kernels, so they fuse alike.
+const bool kAvx2Fma =
+    __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+const MicroKernelFn micro_kernel =
+    kAvx2Fma ? micro_kernel_avx2 : micro_kernel_base;
+const ConvSampleFn conv_sample =
+    kAvx2Fma ? conv_sample_avx2 : conv_sample_base;
+#else
+const MicroKernelFn micro_kernel = micro_kernel_base;
+const ConvSampleFn conv_sample = conv_sample_base;
 #endif
-  return micro_kernel_base;
-}
-
-const MicroKernelFn micro_kernel = pick_micro_kernel();
 
 /// One C tile [i0:i0+mt, j0:j0+nt], full reduction over k in fixed KC
 /// order. Runs entirely on the calling thread.
@@ -366,6 +480,83 @@ void col2vol(const float* col, std::size_t col_stride, std::size_t c,
   } else {
     col2vol_body(col, col_stride, c, d, h, w, kd, kh, kw, sd, sh, sw, x);
   }
+}
+
+void conv_implicit_gemm(const float* x, std::size_t n, std::size_t c,
+                        std::size_t d, std::size_t h, std::size_t w,
+                        std::size_t kd, std::size_t kh, std::size_t kw,
+                        std::size_t sd, std::size_t sh, std::size_t sw,
+                        const float* weights, std::size_t oc,
+                        const float* bias, bool relu, float* y) {
+  if (n == 0) return;
+  const std::size_t od = (d - kd) / sd + 1;
+  const std::size_t oh = (h - kh) / sh + 1;
+  const std::size_t ow = (w - kw) / sw + 1;
+  const std::size_t k = c * kd * kh * kw, p = od * oh * ow;
+  const std::size_t p_pad = (p + CT - 1) / CT * CT;
+  const std::size_t oc_pad = (oc + CT - 1) / CT * CT;
+  g_gemm_calls.fetch_add(1, std::memory_order_relaxed);
+  g_gemm_flops.fetch_add(2ull * oc * n * p * k, std::memory_order_relaxed);
+
+  // Patch element (r, q) of a sample is x[tap[r] + pos[q]], with r in
+  // vol2col's row order. Pad positions read position 0 and are never
+  // stored.
+  if (tl_conv_offsets.size() < k + p_pad) tl_conv_offsets.resize(k + p_pad);
+  std::size_t* tap = tl_conv_offsets.data();
+  std::size_t* pos = tap + k;
+  for (std::size_t ic = 0; ic < c; ++ic) {
+    for (std::size_t kz = 0; kz < kd; ++kz) {
+      for (std::size_t ky = 0; ky < kh; ++ky) {
+        for (std::size_t kx = 0; kx < kw; ++kx) {
+          *tap++ = ((ic * d + kz) * h + ky) * w + kx;
+        }
+      }
+    }
+  }
+  for (std::size_t oz = 0; oz < od; ++oz) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        *pos++ = (oz * sd * h + oy * sh) * w + ox * sw;
+      }
+    }
+  }
+  std::fill(pos, pos + (p_pad - p), std::size_t{0});
+
+  // Packed on every call, as sgemm packs: the weights may be updated in
+  // place between calls. Each weight row is read in order; channels past
+  // oc are zero.
+  if (tl_pack_a.size() < oc_pad * k) tl_pack_a.resize(oc_pad * k);
+  for (std::size_t o = 0; o < oc_pad; ++o) {
+    float* dst = tl_pack_a.data() + (o / CT) * k * CT + o % CT;
+    for (std::size_t r = 0; r < k; ++r) {
+      dst[r * CT] = o < oc ? weights[o * k + r] : 0.0f;
+    }
+  }
+
+  struct Ctx {
+    const float* x;
+    const float* pa;
+    const std::size_t* tap;
+    const std::size_t* pos;
+    const float* bias;
+    float* y;
+    std::size_t sample, k, p, oc;
+    bool relu;
+  };
+  Ctx ctx{x,          tl_pack_a.data(), tl_conv_offsets.data(),
+          tl_conv_offsets.data() + k,   bias, y, c * d * h * w, k, p, oc,
+          relu};
+  // Each sample is one task, so a sample's outputs never depend on the
+  // worker count.
+  const auto run_samples = +[](void* pv, std::size_t i0, std::size_t i1) {
+    const Ctx& ctx = *static_cast<const Ctx*>(pv);
+    for (std::size_t i = i0; i < i1; ++i) {
+      conv_sample(ctx.x + i * ctx.sample, ctx.tap, ctx.pos, ctx.k, ctx.p,
+                  ctx.oc, ctx.pa, ctx.bias, ctx.relu,
+                  ctx.y + i * ctx.oc * ctx.p);
+    }
+  };
+  util::ThreadPool::shared().parallel_for_chunks_raw(0, n, run_samples, &ctx);
 }
 
 KernelCounters kernel_counters() {

@@ -1,7 +1,10 @@
 // The matmul backbone of the ml module: a cache-blocked, register-tiled
-// single-precision GEMM plus the vol2col/col2vol lowering helpers that
-// turn convolution into matrix multiplication (the standard cuDNN-style
-// im2col lowering, here on CPU, over a depth axis as well).
+// single-precision GEMM; the vol2col/col2vol lowering helpers that turn
+// convolution into matrix multiplication (the standard cuDNN-style im2col
+// lowering, here on CPU, over a depth axis as well), which training and
+// int8 inference use; and the implicit-GEMM convolution the compiled fp32
+// plan runs, which reads its patch elements straight from the input and
+// writes no patch matrix.
 //
 // All matrices are row-major with explicit leading dimensions, so views
 // into larger buffers (e.g. one time-step slice of an [N, T, D] tensor)
@@ -54,6 +57,25 @@ void col2vol(const float* col, std::size_t col_stride, std::size_t c,
              std::size_t d, std::size_t h, std::size_t w, std::size_t kd,
              std::size_t kh, std::size_t kw, std::size_t sd, std::size_t sh,
              std::size_t sw, float* x);
+
+/// Implicit-GEMM convolution forward of n volumes x [N, C, D, H, W] (sizes
+/// as for vol2col) with weights [OC, C*KD*KH*KW] into y [N, OC, P], where
+/// P = OD*OH*OW: y = W @ patch matrix + bias, then max(0, .) when `relu`.
+/// Each output element gets exactly the arithmetic of vol2col, sgemm and
+/// a bias-add pass (same k order, the same fused or unfused multiply-adds,
+/// KC blocks summed alike), so it is bitwise equal to that lowering, but
+/// the patch matrix and the GEMM result are never written: the kernel
+/// reads each patch element straight from x, and only the weights are
+/// packed, on every call, into the calling thread's grow-only scratch.
+/// Samples are split over the shared ThreadPool (do not call from inside
+/// a pool task); steady state allocates nothing. Counts as one GEMM call
+/// of 2*OC*N*P*K FLOPs and no im2col elements.
+void conv_implicit_gemm(const float* x, std::size_t n, std::size_t c,
+                        std::size_t d, std::size_t h, std::size_t w,
+                        std::size_t kd, std::size_t kh, std::size_t kw,
+                        std::size_t sd, std::size_t sh, std::size_t sw,
+                        const float* weights, std::size_t oc,
+                        const float* bias, bool relu, float* y);
 
 /// Reusable scratch buffers for the layer hot paths: capacity only grows,
 /// so after the first batch the vol2col/GEMM pipeline performs no

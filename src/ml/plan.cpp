@@ -48,9 +48,10 @@ struct BiasScatterCtx {
   bool relu;
 };
 
-// Interpreted conv epilogue: dst[q] = src[q] + bias, then (as a separate
-// layer) dst[q] = dst[q] > 0 ? dst[q] : 0. Fused with a local t this is
-// the same float additions and the same compare — bitwise identical.
+// The int8 conv step's epilogue: dst[q] = src[q] + bias, then (as a
+// separate layer) dst[q] = dst[q] > 0 ? dst[q] : 0. Fused with a local t
+// this is the same float additions and the same compare — bitwise
+// identical.
 const auto run_bias_scatter = +[](void* pv, std::size_t n0, std::size_t n1) {
   const auto& c = *static_cast<const BiasScatterCtx*>(pv);
   for (std::size_t i = n0; i < n1; ++i) {
@@ -211,11 +212,13 @@ void CompiledNet::Impl::compile(Sequential& net,
       s.fuse_relu = fuse_next_relu();
       s.in = cur;
       values[cur].last_use = si;
-      s.scr0 = add_value(ckk * p, si, si);  // float patch matrix
       if (s.qw != nullptr) {
+        // int8 lowers through the patch matrix; fp32 runs the implicit
+        // GEMM, which needs neither buffer.
+        s.scr0 = add_value(ckk * p, si, si);                    // patch matrix
         s.scr1 = add_value(bytes_as_floats(ckk * p), si, si);  // q(col)
+        s.scr2 = add_value(s.conv.out_channels * p, si, si);   // GEMM out
       }
-      s.scr2 = add_value(s.conv.out_channels * p, si, si);  // GEMM out
       s.out = cur = add_value(s.conv.out_channels * p, si, si);
       shape = s.conv.out_shape(1, s.vol);
       shape.erase(shape.begin());
@@ -383,20 +386,24 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
   for (const Step& s : steps) {
     switch (s.op) {
       case Op::Conv: {
-        const std::size_t oc = s.conv.out_channels, ckk = s.conv.patch_rows();
-        const std::size_t p = s.vol.positions(), np = n * p;
+        const ConvGeometry& g = s.conv;
+        const ConvGeometry::Volumes& v = s.vol;
+        if (s.qw == nullptr) {
+          conv_implicit_gemm(src_of(s.in), n, g.in_channels, v.d, v.h, v.w,
+                             g.kernel_d, g.kernel, g.kernel, g.stride_d,
+                             g.stride, g.stride, s.w, g.out_channels, s.bias,
+                             s.fuse_relu, at(s.out));
+          break;
+        }
+        const std::size_t oc = g.out_channels, ckk = g.patch_rows();
+        const std::size_t p = v.positions(), np = n * p;
         float* col = at(s.scr0);
-        Vol2ColCtx vc{src_of(s.in), col, s.conv, s.vol, p, np};
+        Vol2ColCtx vc{src_of(s.in), col, g, v, p, np};
         pool.parallel_for_chunks_raw(0, n, run_vol2col, &vc);
         float* yall = at(s.scr2);
-        if (s.qw == nullptr) {
-          sgemm(false, false, oc, np, ckk, 1.0f, s.w, ckk, col, np, 0.0f,
-                yall, np);
-        } else {
-          auto* qcol = reinterpret_cast<std::uint8_t*>(at(s.scr1));
-          quantize_activations(col, ckk * np, *s.xq, qcol);
-          qgemm(*s.qw, qcol, np, *s.xq, yall, np);
-        }
+        auto* qcol = reinterpret_cast<std::uint8_t*>(at(s.scr1));
+        quantize_activations(col, ckk * np, *s.xq, qcol);
+        qgemm(*s.qw, qcol, np, *s.xq, yall, np);
         BiasScatterCtx bc{yall, at(s.out), s.bias, oc, p, np, s.fuse_relu};
         pool.parallel_for_chunks_raw(0, n, run_bias_scatter, &bc);
         break;

@@ -4,20 +4,22 @@
 // Sequential::forward, which training runs, walks the layers one by one,
 // with every layer allocating its output Tensor (and often scratch) per
 // batch. CompiledNet does that walk ONCE: compile() lowers the layer list
-// into a flat step program (vol2col + GEMM + fused bias/ReLU epilogues for
-// the conv stacks, gate GEMMs onto preallocated scratch for the LSTM,
-// packed int8 steps for the quantized twins), runs a liveness analysis
-// over every intermediate buffer, and first-fit assigns them into ONE
-// float arena sized for a fixed batch cap. Steady-state execution then performs zero
-// heap allocations: staging, GEMMs and epilogues all run inside the arena
-// through the ThreadPool's raw (allocation-free) dispatch.
+// into a flat step program (one implicit-GEMM call with a fused bias/ReLU
+// epilogue per fp32 conv, gate GEMMs onto preallocated scratch for the
+// LSTM, vol2col + packed int8 steps for the quantized twins), runs a
+// liveness analysis over every intermediate buffer, and first-fit assigns
+// them into ONE float arena sized for a fixed batch cap. Steady-state
+// execution then performs zero heap allocations: staging, GEMMs and
+// epilogues all run inside the arena (or in grow-only per-thread kernel
+// scratch) through the ThreadPool's raw (allocation-free) dispatch.
 //
-// Bitwise contract: a compiled step issues the exact kernel call sequence
-// (same sgemm/qgemm shapes, flags and leading dimensions, same epilogue
-// arithmetic, same reduction orders) as the layer's own forward, so
-// outputs are bit-identical to Sequential::forward(x, false) for every
-// batch size up to the cap. ctest -L plan holds this as an oracle across
-// the nets of the whole model zoo, fp32 and int8.
+// Bitwise contract: every output element of a compiled step gets the same
+// arithmetic as in the layer's own forward (same operands, same reduction
+// order, the same fused or unfused multiply-adds, same epilogue), though
+// not always through the same kernel calls, so outputs are bit-identical
+// to Sequential::forward(x, false) for every batch size up to the cap.
+// ctest -L plan holds this as an oracle across the nets of the whole model
+// zoo, fp32 and int8, and across hand-built conv shapes.
 #pragma once
 
 #include <cstddef>

@@ -77,6 +77,18 @@ TEST(Pgm, ReadErrors) {
     os << "P2\n2 2\n255\n0 0 0 0\n";
   }
   EXPECT_THROW(read_pgm(dir.path() / "bad.pgm"), std::runtime_error);
+  {
+    // A header whose w * h exceeds vector::max_size(), over four bytes.
+    std::ofstream os(dir.path() / "huge.pgm", std::ios::binary);
+    os << "P5\n2147483648 2147483648\n255\n" << std::string(4, '\0');
+  }
+  EXPECT_THROW(read_pgm(dir.path() / "huge.pgm"), std::runtime_error);
+  {
+    // One byte short of a 3x2 image.
+    std::ofstream os(dir.path() / "short.pgm", std::ios::binary);
+    os << "P5\n3 2\n255\n" << std::string(5, '\x7f');
+  }
+  EXPECT_THROW(read_pgm(dir.path() / "short.pgm"), std::runtime_error);
 }
 
 // --- Tub ---------------------------------------------------------------------

@@ -454,6 +454,125 @@ TEST(FedAggregator, TruncatedStateIsACheckpointError) {
   }
 }
 
+// Byte offsets in Aggregator::save_state's layout: the u32 version and the
+// 41-byte RNG state, the u64 round index, the phase byte, three u64 merge
+// fields (expected parameters first), then the accepted-entry count and
+// its 20-byte entries, then the accumulator length and its doubles.
+constexpr std::size_t kPhaseAt = 4 + 41 + 8;
+constexpr std::size_t kExpectedParamsAt = kPhaseAt + 1;
+constexpr std::size_t kAcceptedAt = kExpectedParamsAt + 3 * 8;
+
+std::uint64_t get_u64(const std::string& s, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, s.data() + at, sizeof v);
+  return v;
+}
+
+void put_u64(std::string& s, std::size_t at, std::uint64_t v) {
+  std::memcpy(s.data() + at, &v, sizeof v);
+}
+
+/// Saves fixed bytes as its state, so a forged aggregator state reaches
+/// the store inside a valid, CRC-checked envelope.
+class ReplayedState : public ckpt::Checkpointable {
+ public:
+  explicit ReplayedState(std::string bytes) : bytes_(std::move(bytes)) {}
+  const char* checkpoint_kind() const override { return "fed.aggregator"; }
+  void save_state(std::ostream& os) override { os << bytes_; }
+  void load_state(std::istream&) override {}
+
+ private:
+  std::string bytes_;
+};
+
+TEST(FedAggregator, ForgedMergeStateIsRejectedOnResume) {
+  const FedOptions opt = test_options();
+  FedRig rig(opt);
+  fault::PreemptionToken token;
+  token.arm(1);  // merge tick 1: the state is saved at the merge entry
+  rig.agg->set_preemption(&token);
+  EXPECT_THROW(rig.agg->run(), fault::PreemptedError);
+  token.reset_ticks();
+
+  ckpt::StoreOptions so;
+  so.container = opt.state_container;
+  ckpt::CheckpointStore store(rig.os, so);
+  const auto saved = store.load_latest(opt.ckpt_key);
+  ASSERT_TRUE(saved.has_value());
+  const std::string state = saved->payload;
+  ASSERT_EQ(state[kPhaseAt], 1) << "not saved mid-merge";
+  const std::size_t acc_at = kAcceptedAt + 8 + 20 * get_u64(state, kAcceptedAt);
+  const std::uint64_t params = get_u64(state, acc_at);
+  ASSERT_EQ(params, get_u64(state, kExpectedParamsAt));
+  const std::size_t acc_end = acc_at + 8 + params * sizeof(double);
+
+  const auto resume_error = [&](const std::string& forged) -> std::string {
+    ReplayedState replay(forged);
+    ckpt::save_checkpoint(store, opt.ckpt_key, replay, ckpt::CheckpointInfo{});
+    try {
+      rig.agg->run();
+    } catch (const ckpt::CheckpointError& e) {
+      return std::string("CheckpointError: ") + e.what();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+
+  // 40,000 entries more than the model has parameters: the parent read
+  // past the delta's buffer on the first merge step.
+  std::string longer = state;
+  longer.insert(acc_end, std::string(40000 * sizeof(double), '\0'));
+  put_u64(longer, acc_at, params + 40000);
+  EXPECT_NE(resume_error(longer).find("merge accumulator has"),
+            std::string::npos);
+
+  // Inflated together, the two lengths agree, so the merge itself must
+  // check each delta against the accumulator.
+  std::string both = longer;
+  put_u64(both, kExpectedParamsAt, params + 40000);
+  EXPECT_NE(resume_error(both).find("values, expected"), std::string::npos);
+
+  std::string shorter = state;
+  shorter.erase(acc_end - sizeof(double), sizeof(double));
+  put_u64(shorter, acc_at, params - 1);
+  EXPECT_NE(resume_error(shorter).find("merge accumulator has"),
+            std::string::npos);
+
+  std::string bad_phase = state;
+  bad_phase[kPhaseAt] = 2;
+  EXPECT_NE(resume_error(bad_phase).find("unknown phase"), std::string::npos);
+
+  std::string bad_client = state;
+  ASSERT_GT(get_u64(state, kAcceptedAt), 0u);
+  bad_client[kAcceptedAt + 8] = 99;  // first accepted entry's client index
+  EXPECT_NE(resume_error(bad_client).find("different client set"),
+            std::string::npos);
+
+  // A round record one client short: the record follows the u32 failure
+  // streaks and holds 67 bytes of fields, its client count, then per
+  // client a string, 33 bytes of fields and a string.
+  const std::size_t record_at = acc_end + 8 + 4 * get_u64(state, acc_end);
+  const std::size_t count_at = record_at + 67;
+  std::size_t client_at = count_at + 8, last_client_at = client_at;
+  for (std::uint64_t i = 0; i < get_u64(state, count_at); ++i) {
+    last_client_at = client_at;
+    client_at += 8 + get_u64(state, client_at) + 33;
+    client_at += 8 + get_u64(state, client_at);
+  }
+  std::string short_record = state;
+  short_record.erase(last_client_at, client_at - last_client_at);
+  put_u64(short_record, count_at, get_u64(state, count_at) - 1);
+  EXPECT_NE(resume_error(short_record).find("different client set"),
+            std::string::npos);
+
+  // The genuine state still resumes.
+  ReplayedState genuine(state);
+  ckpt::save_checkpoint(store, opt.ckpt_key, genuine, ckpt::CheckpointInfo{});
+  const FedReport report = rig.agg->run();
+  EXPECT_EQ(report.rounds_published, 2u);
+}
+
 TEST(FedAggregator, EveryMergeKillPointResumesToTheSameModel) {
   FedRig plain(test_options());
   plain.agg->run();

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -17,11 +18,13 @@
 #include "camera/image.hpp"
 #include "ml/conv.hpp"
 #include "ml/driving_model.hpp"
+#include "ml/gemm.hpp"
 #include "ml/layers.hpp"
 #include "ml/plan.hpp"
 #include "ml/quant_model.hpp"
 #include "ml/sequential.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace autolearn::ml {
 namespace {
@@ -229,6 +232,21 @@ TEST_P(PlanOracle, SaveLoadReattachKeepsBitwiseIdentity) {
   expect_same_predictions(ref, got);
 }
 
+// The fp32 conv step reads its patch elements straight from the input,
+// so a predict writes no patch matrix; it still counts one GEMM per conv.
+TEST_P(PlanOracle, Fp32PredictWritesNoPatchMatrix) {
+  ModelConfig cfg;
+  const auto model = make_model(GetParam(), cfg);
+  ASSERT_TRUE(model->attach_plan(kMaxBatch));
+  const auto samples = make_samples(cfg, kMaxBatch, 67);
+  std::vector<Prediction> out(kMaxBatch);
+  const KernelCounters before = kernel_counters();
+  model->predict_batch(samples.data(), kMaxBatch, out.data());
+  const KernelCounters after = kernel_counters();
+  EXPECT_EQ(after.im2col_elems, before.im2col_elems);
+  EXPECT_GT(after.gemm_calls, before.gemm_calls);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllZooModels, PlanOracle,
                          ::testing::ValuesIn(all_model_types()),
                          [](const auto& info) {
@@ -307,6 +325,117 @@ TEST(PlanErrors, DirectNetBitwiseMatchesSequentialForward) {
     EXPECT_EQ(ref[i], got[i]) << "elem " << i;
   }
 }
+
+// --- conv shapes no zoo model has ----------------------------------------
+
+/// A hand-built net and its per-row input shape.
+struct ConvNetCase {
+  const char* name;
+  std::vector<std::size_t> row_shape;
+  std::function<void(Sequential&, util::Rng&)> build;
+};
+
+std::vector<ConvNetCase> conv_net_cases() {
+  return {
+      // K = 32*3*3 = 288 > KC = 256 (two reduction blocks); 5 channels
+      // fill no 8-channel tile.
+      {"K288Oc5", {32, 6, 7},
+       [](Sequential& net, util::Rng& rng) {
+         net.add<Conv2D>(32, 5, 3, 1, rng);
+         net.add<ReLU>();
+         net.add<Flatten>();
+         net.add<Dense>(5 * 4 * 5, 3, rng);
+       }},
+      {"Stride1", {2, 9, 10},
+       [](Sequential& net, util::Rng& rng) {
+         net.add<Conv2D>(2, 8, 3, 1, rng);
+         net.add<ReLU>();
+         net.add<Conv2D>(8, 9, 2, 1, rng);
+         net.add<ReLU>();
+       }},
+      {"Stride3", {3, 11, 14},
+       [](Sequential& net, util::Rng& rng) {
+         net.add<Conv2D>(3, 10, 2, 3, rng);
+         net.add<ReLU>();
+         net.add<Flatten>();
+         net.add<Dense>(10 * 4 * 5, 2, rng);
+       }},
+      // P = 2*2 = 4 positions: fewer than one tile's width.
+      {"FourPositions", {4, 5, 5},
+       [](Sequential& net, util::Rng& rng) {
+         net.add<Conv2D>(4, 6, 3, 2, rng);
+         net.add<ReLU>();
+         net.add<Flatten>();
+         net.add<Dense>(6 * 4, 2, rng);
+       }},
+      {"Conv3dDepthStride2", {2, 5, 6, 7},
+       [](Sequential& net, util::Rng& rng) {
+         net.add<Conv3D>(2, 7, 2, 3, 2, 1, rng);
+         net.add<ReLU>();
+         net.add<Flatten>();
+         net.add<Dense>(7 * 2 * 4 * 5, 2, rng);
+       }},
+      {"NoRelu", {3, 8, 9},
+       [](Sequential& net, util::Rng& rng) {
+         net.add<Conv2D>(3, 12, 3, 2, rng);
+         net.add<Tanh>();
+         net.add<Flatten>();
+         net.add<Dense>(12 * 3 * 4, 2, rng);
+       }},
+      // Last layer, no activation: the plan's output is the conv's.
+      {"ConvLast", {1, 12, 16},
+       [](Sequential& net, util::Rng& rng) {
+         net.add<Conv2D>(1, 8, 3, 2, rng);
+         net.add<ReLU>();
+         net.add<Conv2D>(8, 3, 3, 1, rng);
+       }},
+  };
+}
+
+class PlanConvShapes
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
+
+// Each net compiled alone must reproduce Sequential::forward bit for bit at
+// 1 row, 5 rows and the cap, whatever the pool's worker count.
+TEST_P(PlanConvShapes, BitwiseMatchesSequentialForward) {
+  const auto [case_index, workers] = GetParam();
+  const ConvNetCase c = conv_net_cases()[case_index];
+  util::ThreadPool pool(workers);
+  util::ThreadPool::ScopedOverride use(pool);
+  util::Rng rng(19);
+  Sequential net;
+  c.build(net, rng);
+  constexpr std::size_t kCap = 9;
+  CompiledNet plan(net, c.row_shape, kCap);
+  util::Rng data_rng(23);
+  for (std::size_t rows : {std::size_t{1}, std::size_t{5}, kCap}) {
+    std::vector<std::size_t> shape = {rows};
+    shape.insert(shape.end(), c.row_shape.begin(), c.row_shape.end());
+    Tensor x(shape);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = static_cast<float>(data_rng.uniform(-1.0, 1.0));
+    }
+    const Tensor ref = net.forward(x, /*train=*/false);
+    std::copy(x.data(), x.data() + x.size(), plan.input());
+    const float* got = plan.run(rows);
+    ASSERT_EQ(ref.size(), rows * plan.out_row_elems());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(ref[i]),
+                std::bit_cast<std::uint32_t>(got[i]))
+          << c.name << " rows " << rows << " elem " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HandBuiltNets, PlanConvShapes,
+    ::testing::Combine(::testing::Range<std::size_t>(0, 7),
+                       ::testing::Values<std::size_t>(1, 3, 4)),
+    [](const auto& info) {
+      return std::string(conv_net_cases()[std::get<0>(info.param)].name) +
+             "_Workers" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace autolearn::ml
