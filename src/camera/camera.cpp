@@ -17,11 +17,18 @@ Camera::Camera(CameraConfig config, util::Rng rng)
   if (config_.width == 0 || config_.height == 0) {
     throw std::invalid_argument("Camera: zero resolution");
   }
-  if (config_.fov_deg <= 0 || config_.fov_deg >= 180) {
+  // Written so that NaN fails each test.
+  if (!(config_.fov_deg > 0 && config_.fov_deg < 180)) {
     throw std::invalid_argument("Camera: fov out of range");
   }
-  if (config_.mount_height <= 0) {
-    throw std::invalid_argument("Camera: mount height must be > 0");
+  if (!(config_.mount_height > 0 && std::isfinite(config_.mount_height))) {
+    throw std::invalid_argument("Camera: mount height must be finite and > 0");
+  }
+  if (!(config_.pitch_deg > -90 && config_.pitch_deg < 90)) {
+    throw std::invalid_argument("Camera: pitch out of range");
+  }
+  if (!(config_.tape_width >= 0 && std::isfinite(config_.tape_width))) {
+    throw std::invalid_argument("Camera: tape width must be finite and >= 0");
   }
 }
 
@@ -55,8 +62,7 @@ Image Camera::render(const track::Track& track,
   const Vec3 down{-ch * sp, -sh * sp, -cp};
 
   const double cam_z = config_.mount_height;
-  const double half_w = track.half_width();
-  const double tape_half = config_.tape_width / 2.0;
+  const track::Track::GroundView ground = track.ground(config_.tape_width / 2.0);
 
   for (std::size_t py = 0; py < H; ++py) {
     for (std::size_t px = 0; px < W; ++px) {
@@ -76,14 +82,16 @@ Image Camera::render(const track::Track& track,
         const double t = cam_z / -dir.z;
         const track::Vec2 hit{state.pos.x + t * dir.x,
                               state.pos.y + t * dir.y};
-        const track::Projection proj = track.project(hit);
-        const double lat = std::abs(proj.lateral);
-        if (std::abs(lat - half_w) <= tape_half) {
-          value = config_.tape;
-        } else if (lat < half_w) {
-          value = config_.surface;
-        } else {
-          value = config_.floor;
+        switch (ground.at(hit)) {
+          case track::Ground::kTape:
+            value = config_.tape;
+            break;
+          case track::Ground::kSurface:
+            value = config_.surface;
+            break;
+          default:
+            value = config_.floor;
+            break;
         }
         // Mild distance attenuation so far geometry is dimmer, which keeps
         // the nearest (most informative) markings dominant.

@@ -8,6 +8,12 @@
 // (lane geometry ahead as a function of pose) at a resolution where CPU
 // training of all six models is fast.
 //
+// Ground hits are classified through Track::ground(): a per-track raster
+// answers most of them with the class Track::project() would give, and
+// the rest are projected, so a frame is the same, bit for bit, as one
+// that projects every hit. The first frame on a track builds its raster
+// (a few ms).
+//
 // The "real" profile adds pixel noise, exposure jitter and mounting
 // vibration, mirroring the physical car; the "sim" profile is clean like
 // the Unity simulator.
@@ -57,6 +63,10 @@ struct GroundPatch {
 
 class Camera {
  public:
+  /// Throws std::invalid_argument for a zero resolution, a fov outside
+  /// (0, 180) degrees, a mount height that is not finite and > 0, a pitch
+  /// outside (-90, 90) degrees, or a tape width that is not finite and
+  /// >= 0. NaN fails each test.
   Camera(CameraConfig config, util::Rng rng);
 
   const CameraConfig& config() const { return config_; }

@@ -11,11 +11,23 @@ namespace autolearn::track {
 
 Track::Track(std::string name, std::vector<PathSample> centerline,
              double width)
-    : name_(std::move(name)), samples_(std::move(centerline)), width_(width) {
+    : name_(std::move(name)),
+      samples_(std::move(centerline)),
+      width_(width),
+      ground_cache_(make_ground_cache()) {
   if (samples_.size() < 8) {
     throw std::invalid_argument("Track: centerline too short");
   }
-  if (width_ <= 0) throw std::invalid_argument("Track: width must be > 0");
+  if (!std::isfinite(width_) || width_ <= 0) {
+    throw std::invalid_argument("Track: width must be finite and > 0");
+  }
+  for (const PathSample& smp : samples_) {
+    if (!std::isfinite(smp.pos.x) || !std::isfinite(smp.pos.y) ||
+        !std::isfinite(smp.heading) || !std::isfinite(smp.curvature) ||
+        !std::isfinite(smp.s)) {
+      throw std::invalid_argument("Track: non-finite centerline sample");
+    }
+  }
   length_ = samples_.back().s;
   if (length_ <= 0) throw std::invalid_argument("Track: zero length");
   build_grid();
@@ -79,71 +91,156 @@ void Track::build_grid() {
   }
   // Pad by a couple of lane widths so near-track queries land in the grid.
   const double pad = 2 * width_ + 1.0;
+  const double span_x = (max_x - min_x + 2 * pad) / grid_.cell + 1;
+  const double span_y = (max_y - min_y + 2 * pad) / grid_.cell + 1;
+  const auto limit = static_cast<double>(kMaxGridCells);
+  if (!(span_x <= limit && span_y <= limit && span_x * span_y <= limit)) {
+    throw std::invalid_argument("Track: centerline spans too many grid cells");
+  }
   grid_.min_x = min_x - pad;
   grid_.min_y = min_y - pad;
-  grid_.nx = static_cast<std::size_t>((max_x - min_x + 2 * pad) / grid_.cell) + 1;
-  grid_.ny = static_cast<std::size_t>((max_y - min_y + 2 * pad) / grid_.cell) + 1;
-  grid_.cells.assign(grid_.nx * grid_.ny, {});
-  for (std::uint32_t k = 0; k < samples_.size(); ++k) {
+  grid_.nx = static_cast<std::size_t>(span_x);
+  grid_.ny = static_cast<std::size_t>(span_y);
+  // Counting sort of the samples by cell, keeping ascending index within
+  // each cell.
+  std::vector<std::uint32_t> cell_of(samples_.size());
+  grid_.first.assign(grid_.nx * grid_.ny + 1, 0);
+  for (std::size_t k = 0; k < samples_.size(); ++k) {
     const auto cx = static_cast<std::size_t>(
         (samples_[k].pos.x - grid_.min_x) / grid_.cell);
     const auto cy = static_cast<std::size_t>(
         (samples_[k].pos.y - grid_.min_y) / grid_.cell);
-    grid_.cells[cy * grid_.nx + cx].push_back(k);
+    cell_of[k] = static_cast<std::uint32_t>(cy * grid_.nx + cx);
+    ++grid_.first[cell_of[k] + 1];
+  }
+  for (std::size_t c = 0; c < grid_.nx * grid_.ny; ++c) {
+    grid_.first[c + 1] += grid_.first[c];
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  grid_.order.resize(samples_.size());
+  grid_.bounds.assign(grid_.nx * grid_.ny, Box{kInf, kInf, -kInf, -kInf});
+  std::vector<std::uint32_t> fill(grid_.first.begin(), grid_.first.end() - 1);
+  for (std::uint32_t k = 0; k < samples_.size(); ++k) {
+    grid_.order[fill[cell_of[k]]++] = k;
+    Box& b = grid_.bounds[cell_of[k]];
+    const Vec2& pos = samples_[k].pos;
+    b = {std::min(b.min_x, pos.x), std::min(b.min_y, pos.y),
+         std::max(b.max_x, pos.x), std::max(b.max_y, pos.y)};
   }
 }
 
-Projection Track::project(const Vec2& p) const {
-  // Search the spatial grid ring-by-ring until a candidate is found, then
-  // one extra ring to guarantee the true nearest sample is not missed.
+template <class Visit, class Stop>
+void Track::walk_rings(long cx, long cy, Visit&& visit, Stop&& stop) const {
+  const auto nx = static_cast<long>(grid_.nx);
+  const auto ny = static_cast<long>(grid_.ny);
+  const long max_ring = std::max(nx, ny) + 1;
+  long last_ring = max_ring;
+  for (long ring = 0; ring <= last_ring && !stop(ring); ++ring) {
+    bool held = false;
+    const auto cell = [&](long gx, long gy) {
+      const std::size_t c = static_cast<std::size_t>(gy) * grid_.nx +
+                            static_cast<std::size_t>(gx);
+      if (grid_.first[c] == grid_.first[c + 1]) return;
+      held = true;
+      visit(c);
+    };
+    const long y_end = std::min(cy + ring, ny - 1);
+    for (long gy = std::max(cy - ring, 0L); gy <= y_end; ++gy) {
+      if (gy == cy - ring || gy == cy + ring) {
+        const long x_end = std::min(cx + ring, nx - 1);
+        for (long gx = std::max(cx - ring, 0L); gx <= x_end; ++gx) cell(gx, gy);
+      } else {
+        // A side row of a ring >= 1: its two end cells only.
+        if (cx - ring >= 0 && cx - ring < nx) cell(cx - ring, gy);
+        if (cx + ring >= 0 && cx + ring < nx) cell(cx + ring, gy);
+      }
+    }
+    if (held && last_ring == max_ring) last_ring = std::min(max_ring, ring + 2);
+  }
+}
+
+std::size_t Track::nearest_sample(const Vec2& p) const {
+  // Every squared distance from a non-finite point is NaN or inf, never
+  // below the starting bound, so a full scan would keep sample 0.
+  if (!std::isfinite(p.x) || !std::isfinite(p.y)) return 0;
   double best_d2 = std::numeric_limits<double>::max();
   std::size_t best = 0;
   const double fx = (p.x - grid_.min_x) / grid_.cell;
   const double fy = (p.y - grid_.min_y) / grid_.cell;
-  const long cx = static_cast<long>(std::floor(fx));
-  const long cy = static_cast<long>(std::floor(fy));
-  const long max_ring =
-      static_cast<long>(std::max(grid_.nx, grid_.ny)) + 1;
-  bool found = false;
-  long settle_rings = -1;
-  for (long ring = 0; ring <= max_ring; ++ring) {
-    if (found) {
-      if (settle_rings < 0) settle_rings = ring + 1;
-      if (ring > settle_rings) break;
-    }
-    for (long dy = -ring; dy <= ring; ++dy) {
-      for (long dx = -ring; dx <= ring; ++dx) {
-        if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;
-        const long gx = cx + dx, gy = cy + dy;
-        if (gx < 0 || gy < 0 || gx >= static_cast<long>(grid_.nx) ||
-            gy >= static_cast<long>(grid_.ny)) {
-          continue;
-        }
-        for (std::uint32_t k :
-             grid_.cells[static_cast<std::size_t>(gy) * grid_.nx +
-                         static_cast<std::size_t>(gx)]) {
-          const double d2 = (samples_[k].pos - p).norm2();
-          if (d2 < best_d2) {
-            best_d2 = d2;
-            best = k;
-            found = true;
-          }
+  const long max_ring = static_cast<long>(std::max(grid_.nx, grid_.ny)) + 1;
+  // Rings of up to max_ring cells reach the grid only from cells within
+  // max_ring of it; from farther away every ring is empty.
+  const auto reachable = [max_ring](double f, std::size_t n) {
+    return f >= static_cast<double>(-max_ring) &&
+           f < static_cast<double>(static_cast<long>(n) + max_ring);
+  };
+  if (reachable(fx, grid_.nx) && reachable(fy, grid_.ny)) {
+    const long cx = floor_to_long(fx);
+    const long cy = floor_to_long(fy);
+    // Distance, in cells, from p to the nearest edge of its own cell. Ring
+    // r >= 1 lies at least (r - 1 + edge) cells from p; kSlack (meters)
+    // covers rounding in that bound and in the samples' cell assignment.
+    const double ex = fx - static_cast<double>(cx);
+    const double ey = fy - static_cast<double>(cy);
+    const double edge = std::min(std::min(ex, 1 - ex), std::min(ey, 1 - ey));
+    constexpr double kSlack = 1e-9;
+    const auto scan = [&](std::size_t cell) {
+      // Skip a cell none of whose samples can come strictly closer: the
+      // factor covers the rounding of both squared distances.
+      const Box& b = grid_.bounds[cell];
+      const double gx = std::max({b.min_x - p.x, p.x - b.max_x, 0.0});
+      const double gy = std::max({b.min_y - p.y, p.y - b.max_y, 0.0});
+      if ((gx * gx + gy * gy) * (1 - 1e-12) > best_d2) return;
+      for (std::uint32_t i = grid_.first[cell]; i < grid_.first[cell + 1];
+           ++i) {
+        const std::uint32_t k = grid_.order[i];
+        const double d2 = (samples_[k].pos - p).norm2();
+        if (d2 < best_d2) {
+          best_d2 = d2;
+          best = k;
         }
       }
+    };
+    // Stop before a ring that cannot hold a strictly closer sample.
+    const auto settled = [&](long ring) {
+      const double reach =
+          (static_cast<double>(ring - 1) + edge) * grid_.cell - kSlack;
+      return reach > 0 && best_d2 <= reach * reach;
+    };
+    walk_rings(cx, cy, scan, settled);
+    if (best_d2 < std::numeric_limits<double>::max()) return best;
+  }
+  // No ring held a sample: fall back to a linear scan.
+  for (std::size_t k = 0; k < samples_.size(); ++k) {
+    const double d2 = (samples_[k].pos - p).norm2();
+    if (d2 < best_d2) {
+      best_d2 = d2;
+      best = k;
     }
   }
-  if (!found) {
-    // Point far outside the padded grid: fall back to a linear scan.
-    for (std::size_t k = 0; k < samples_.size(); ++k) {
-      const double d2 = (samples_[k].pos - p).norm2();
-      if (d2 < best_d2) {
-        best_d2 = d2;
-        best = k;
-      }
-    }
-  }
+  return best;
+}
 
-  const PathSample& smp = samples_[best];
+std::vector<std::uint32_t> Track::scan_set(long cx, long cy) const {
+  // For every point of the cell, nearest_sample() compares a subset of
+  // these and keeps the same winner as a scan of all of them.
+  std::vector<std::uint32_t> set;
+  walk_rings(
+      cx, cy,
+      [&](std::size_t cell) {
+        set.insert(set.end(), grid_.order.begin() + grid_.first[cell],
+                   grid_.order.begin() + grid_.first[cell + 1]);
+      },
+      [](long) { return false; });
+  if (set.empty()) {
+    set.resize(samples_.size());
+    for (std::uint32_t k = 0; k < set.size(); ++k) set[k] = k;
+  }
+  return set;
+}
+
+Projection Track::project(const Vec2& p) const {
+  const PathSample& smp = samples_[nearest_sample(p)];
   // Refine along the local tangent for sub-sample accuracy.
   const Vec2 tangent = heading_vec(smp.heading);
   const Vec2 rel = p - smp.pos;
