@@ -99,8 +99,7 @@ util::Json bench_qgemm_shapes(bool smoke) {
       ml::qgemm(qw, qx.data(), s.n, xq, c.data(), s.n);
     });
     const double scalar_s = best_of(reps, [&] {
-      ml::qgemm(qw, qx.data(), s.n, xq, c.data(), s.n, true,
-                ml::QGemmIsa::Scalar);
+      ml::qgemm(qw, qx.data(), s.n, xq, c.data(), s.n, ml::QGemmIsa::Scalar);
     });
 
     util::Json row = util::Json::object();

@@ -81,7 +81,8 @@ void ConvGeometry::gather(const float* x, std::size_t n, const Volumes& v,
 }
 
 void ConvGeometry::scatter(const float* yall, const float* bias,
-                           std::size_t n, const Volumes& v, float* y) const {
+                           std::size_t n, const Volumes& v, float* y,
+                           bool relu) const {
   const std::size_t p = v.positions(), np = n * p;
   util::ThreadPool::shared().parallel_for_chunks(
       0, n, [&](std::size_t n0, std::size_t n1) {
@@ -90,7 +91,14 @@ void ConvGeometry::scatter(const float* yall, const float* bias,
             const float* src = yall + oc * np + i * p;
             float* dst = y + (i * out_channels + oc) * p;
             const float b = bias[oc];
-            for (std::size_t q = 0; q < p; ++q) dst[q] = src[q] + b;
+            if (relu) {
+              for (std::size_t q = 0; q < p; ++q) {
+                const float t = src[q] + b;
+                dst[q] = t > 0.0f ? t : 0.0f;
+              }
+            } else {
+              for (std::size_t q = 0; q < p; ++q) dst[q] = src[q] + b;
+            }
           }
         }
       });
@@ -118,7 +126,7 @@ Tensor Conv::forward(const Tensor& x, bool /*train*/) {
   sgemm(false, false, oc, np, ckk, 1.0f, w_.value.data(), ckk, col, np, 0.0f,
         yall, np);
   Tensor y(g_.out_shape(n, v));
-  g_.scatter(yall, b_.value.data(), n, v, y.data());
+  g_.scatter(yall, b_.value.data(), n, v, y.data(), /*relu=*/false);
   return y;
 }
 

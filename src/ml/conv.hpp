@@ -50,9 +50,10 @@ struct ConvGeometry {
   void gather(const float* x, std::size_t n, const Volumes& v,
               float* col) const;
   /// y [N, OC, P] = the GEMM output yall [OC, N*P] regrouped per sample,
-  /// plus the bias.
+  /// plus the bias, then max(0, .) when `relu` (t = yall + b; t > 0 ? t : 0,
+  /// the arithmetic of a separate ReLU layer).
   void scatter(const float* yall, const float* bias, std::size_t n,
-               const Volumes& v, float* y) const;
+               const Volumes& v, float* y, bool relu) const;
 };
 
 /// Valid convolution with an [OC, C, (KD,) K, K] kernel, lowered to one

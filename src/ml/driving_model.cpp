@@ -688,6 +688,27 @@ std::unique_ptr<DrivingModel> make_model(ModelType type,
 namespace {
 // "ALMB": model-bundle magic.
 constexpr std::uint32_t kBundleMagic = 0x424d4c41;
+
+// Bounds on a bundle's decoded sizes, checked before make_model builds
+// anything from them. They admit every model the tree builds (frames up
+// to 64x48, seq_len and history_len 3, 15/20 bins) and keep the largest
+// model (the 3d one at 64x64 and seq_len 8) under 3 MiB of parameters.
+constexpr std::size_t kMaxBundleFrameSide = 64;
+constexpr std::size_t kMaxBundleSeqLen = 8;
+constexpr std::size_t kMaxBundleHistoryLen = 8;
+constexpr std::size_t kMinBundleBins = 2;
+constexpr std::size_t kMaxBundleBins = 64;
+
+void check_bundle_size(const char* field, std::size_t v, std::size_t lo,
+                       std::size_t hi) {
+  if (v < lo || v > hi) {
+    throw ModelLoadError(ModelLoadError::Code::BadHeader,
+                         std::string("model bundle: ") + field + " " +
+                             std::to_string(v) + " outside [" +
+                             std::to_string(lo) + ", " + std::to_string(hi) +
+                             "]");
+  }
+}
 }  // namespace
 
 void save_model_bundle(std::ostream& os, DrivingModel& model,
@@ -735,9 +756,25 @@ LoadedModelBundle load_model_bundle(std::istream& is) {
                          "model bundle: unknown model type '" + type_name +
                              "'");
   }
+  check_bundle_size("img_w", cfg.img_w, 1, kMaxBundleFrameSide);
+  check_bundle_size("img_h", cfg.img_h, 1, kMaxBundleFrameSide);
+  check_bundle_size("seq_len", cfg.seq_len, 1, kMaxBundleSeqLen);
+  check_bundle_size("history_len", cfg.history_len, 0, kMaxBundleHistoryLen);
+  check_bundle_size("steering_bins", cfg.steering_bins, kMinBundleBins,
+                    kMaxBundleBins);
+  check_bundle_size("throttle_bins", cfg.throttle_bins, kMinBundleBins,
+                    kMaxBundleBins);
   LoadedModelBundle out;
   out.config = cfg;
-  out.model = make_model(type, cfg);
+  try {
+    out.model = make_model(type, cfg);
+  } catch (const std::invalid_argument& e) {
+    // In-bounds sizes the model still cannot use (a frame smaller than
+    // its kernels, a 3d model with too few frames, a bad dropout).
+    throw ModelLoadError(ModelLoadError::Code::BadHeader,
+                         std::string("model bundle: config rejected: ") +
+                             e.what());
+  }
   out.model->load_full(is);
   return out;
 }

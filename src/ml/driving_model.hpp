@@ -164,7 +164,9 @@ struct LoadedModelBundle {
 };
 
 /// Rebuilds the model named in the stream and restores its full state.
-/// Throws ModelLoadError on a malformed or truncated bundle.
+/// Throws ModelLoadError on a malformed or truncated bundle. A config with
+/// a size outside the bundle's fixed bounds (checked before any model is
+/// built), or one make_model rejects, is BadHeader.
 LoadedModelBundle load_model_bundle(std::istream& is);
 
 }  // namespace autolearn::ml

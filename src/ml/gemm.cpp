@@ -326,7 +326,7 @@ void tune_interpreted_allocator() {
 void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            std::size_t k, float alpha, const float* a, std::size_t lda,
            const float* b, std::size_t ldb, float beta, float* c,
-           std::size_t ldc, bool parallel) {
+           std::size_t ldc) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
     for (std::size_t i = 0; i < m; ++i) {
@@ -345,42 +345,22 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   const std::size_t m_tiles = (m + MC - 1) / MC;
   const std::size_t n_tiles = (n + NC - 1) / NC;
   const std::size_t tiles = m_tiles * n_tiles;
-  // The parallel dispatch goes through the allocation-free raw chunk
-  // primitive (function pointer + context, no std::function) so a GEMM
-  // inside a compiled plan performs zero heap allocation. Tile -> C
-  // region is a pure function of the tile index, so the chunking (and the
-  // execution order) cannot affect results.
-  struct TileCtx {
-    bool trans_a, trans_b;
-    std::size_t m, n, k;
-    float alpha;
-    const float* a;
-    std::size_t lda;
-    const float* b;
-    std::size_t ldb;
-    float beta;
-    float* c;
-    std::size_t ldc, n_tiles;
-  };
-  TileCtx ctx{trans_a, trans_b, m,   n, k,   alpha, a,
-              lda,     b,       ldb, beta, c, ldc,   n_tiles};
-  const auto run_tiles = +[](void* p, std::size_t t0, std::size_t t1) {
-    const TileCtx& ctx = *static_cast<const TileCtx*>(p);
+  // Tile -> C region is a pure function of the tile index, so the chunking
+  // (and the execution order) cannot affect results.
+  const auto run_tiles = [&](std::size_t t0, std::size_t t1) {
     for (std::size_t t = t0; t < t1; ++t) {
-      const std::size_t i0 = (t / ctx.n_tiles) * MC;
-      const std::size_t j0 = (t % ctx.n_tiles) * NC;
-      gemm_tile(ctx.trans_a, ctx.trans_b, i0, std::min(MC, ctx.m - i0), j0,
-                std::min(NC, ctx.n - j0), ctx.k, ctx.alpha, ctx.a, ctx.lda,
-                ctx.b, ctx.ldb, ctx.beta, ctx.c, ctx.ldc);
+      const std::size_t i0 = (t / n_tiles) * MC;
+      const std::size_t j0 = (t % n_tiles) * NC;
+      gemm_tile(trans_a, trans_b, i0, std::min(MC, m - i0), j0,
+                std::min(NC, n - j0), k, alpha, a, lda, b, ldb, beta, c, ldc);
     }
   };
   // Small problems are not worth a pool dispatch regardless of tiling.
   const bool tiny = 2ull * m * n * k < (1ull << 16);
-  if (!parallel || tiles == 1 || tiny) {
-    run_tiles(&ctx, 0, tiles);
+  if (tiny) {
+    run_tiles(0, tiles);
   } else {
-    util::ThreadPool::shared().parallel_for_chunks_raw(0, tiles, run_tiles,
-                                                       &ctx);
+    util::ThreadPool::shared().parallel_for_chunks(0, tiles, run_tiles);
   }
 }
 
@@ -533,30 +513,19 @@ void conv_implicit_gemm(const float* x, std::size_t n, std::size_t c,
     }
   }
 
-  struct Ctx {
-    const float* x;
-    const float* pa;
-    const std::size_t* tap;
-    const std::size_t* pos;
-    const float* bias;
-    float* y;
-    std::size_t sample, k, p, oc;
-    bool relu;
-  };
-  Ctx ctx{x,          tl_pack_a.data(), tl_conv_offsets.data(),
-          tl_conv_offsets.data() + k,   bias, y, c * d * h * w, k, p, oc,
-          relu};
+  // Workers read the caller's thread-local buffers through these.
+  const float* pa = tl_pack_a.data();
+  const std::size_t* offsets = tl_conv_offsets.data();
+  const std::size_t sample = c * d * h * w;
   // Each sample is one task, so a sample's outputs never depend on the
   // worker count.
-  const auto run_samples = +[](void* pv, std::size_t i0, std::size_t i1) {
-    const Ctx& ctx = *static_cast<const Ctx*>(pv);
-    for (std::size_t i = i0; i < i1; ++i) {
-      conv_sample(ctx.x + i * ctx.sample, ctx.tap, ctx.pos, ctx.k, ctx.p,
-                  ctx.oc, ctx.pa, ctx.bias, ctx.relu,
-                  ctx.y + i * ctx.oc * ctx.p);
-    }
-  };
-  util::ThreadPool::shared().parallel_for_chunks_raw(0, n, run_samples, &ctx);
+  util::ThreadPool::shared().parallel_for_chunks(
+      0, n, [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t i = i0; i < i1; ++i) {
+          conv_sample(x + i * sample, offsets, offsets + k, k, p, oc, pa,
+                      bias, relu, y + i * oc * p);
+        }
+      });
 }
 
 KernelCounters kernel_counters() {

@@ -28,13 +28,12 @@ namespace autolearn::ml {
 /// op(X) is X or X^T per the trans flag; lda/ldb are the leading
 /// dimensions of the *stored* matrices. When beta == 0 the output is
 /// overwritten without being read (uninitialized scratch is fine).
-/// `parallel` distributes C tiles over the shared ThreadPool; it must be
-/// false when the caller already runs inside a pool task (the pool does
-/// not support nested parallel sections).
+/// C tiles are split over the shared ThreadPool, so do not call from
+/// inside a pool region (regions do not nest).
 void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            std::size_t k, float alpha, const float* a, std::size_t lda,
            const float* b, std::size_t ldb, float beta, float* c,
-           std::size_t ldc, bool parallel = true);
+           std::size_t ldc);
 
 /// vol2col for valid (unpadded) convolution, channels-first layout.
 /// x: one volume [C, D, H, W]; a 2-D image is the d = kd = 1 case. Writes
@@ -68,7 +67,7 @@ void col2vol(const float* col, std::size_t col_stride, std::size_t c,
 /// reads each patch element straight from x, and only the weights are
 /// packed, on every call, into the calling thread's grow-only scratch.
 /// Samples are split over the shared ThreadPool (do not call from inside
-/// a pool task); steady state allocates nothing. Counts as one GEMM call
+/// a pool region); steady state allocates nothing. Counts as one GEMM call
 /// of 2*OC*N*P*K FLOPs and no im2col elements.
 void conv_implicit_gemm(const float* x, std::size_t n, std::size_t c,
                         std::size_t d, std::size_t h, std::size_t w,

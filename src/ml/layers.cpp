@@ -29,16 +29,24 @@ Tensor Dense::forward(const Tensor& x, bool /*train*/) {
   last_input_ = x;
   const std::size_t n = x.dim(0);
   Tensor y({n, out_features_});
-  const Tensor& b = b_.value;
+  forward_into(x.data(), n, y.data(), /*relu=*/false);
+  return y;
+}
+
+void Dense::forward_into(const float* x, std::size_t n, float* y,
+                         bool relu) const {
+  const float* b = b_.value.data();
   for (std::size_t i = 0; i < n; ++i) {
-    float* yi = y.data() + i * out_features_;
+    float* yi = y + i * out_features_;
     for (std::size_t o = 0; o < out_features_; ++o) yi[o] = b[o];
   }
   // y += x @ W^T on top of the broadcast bias.
-  sgemm(false, true, n, out_features_, in_features_, 1.0f, x.data(),
-        in_features_, w_.value.data(), in_features_, 1.0f, y.data(),
-        out_features_);
-  return y;
+  sgemm(false, true, n, out_features_, in_features_, 1.0f, x, in_features_,
+        w_.value.data(), in_features_, 1.0f, y, out_features_);
+  if (relu) {
+    const std::size_t total = n * out_features_;
+    for (std::size_t i = 0; i < total; ++i) y[i] = y[i] > 0.0f ? y[i] : 0.0f;
+  }
 }
 
 Tensor Dense::backward(const Tensor& grad_out) {

@@ -24,6 +24,11 @@ class Dense : public Layer {
   std::size_t in_features() const { return in_features_; }
   std::size_t out_features() const { return out_features_; }
 
+  /// The one Dense forward kernel: y [n, out] = x [n, in] W^T + b, then
+  /// max(0, .) when `relu`, into the caller's y. forward() and the
+  /// compiled plan's dense step both run it.
+  void forward_into(const float* x, std::size_t n, float* y, bool relu) const;
+
  private:
   std::size_t in_features_, out_features_;
   Param w_, b_;

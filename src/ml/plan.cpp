@@ -9,10 +9,8 @@
 #include "ml/gemm.hpp"
 #include "ml/layers.hpp"
 #include "ml/lstm.hpp"
-#include "ml/quant.hpp"
 #include "ml/quant_layers.hpp"
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace autolearn::ml {
 namespace {
@@ -29,67 +27,14 @@ std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 /// Bytes stored in a float-typed slot: round rows up to whole floats.
 std::size_t bytes_as_floats(std::size_t bytes) { return ceil_div(bytes, 4); }
 
-// Contexts for the allocation-free parallel regions. The runners are
-// capture-less lambdas (decay to function pointers) so the hot path never
-// touches std::function.
-struct Vol2ColCtx {
-  const float* x;
-  float* col;
-  const ConvGeometry& g;
-  const ConvGeometry::Volumes& v;
-  std::size_t p, np;
-};
-
-struct BiasScatterCtx {
-  const float* yall;
-  float* y;
-  const float* bias;
-  std::size_t oc, p, np;
-  bool relu;
-};
-
-// The int8 conv step's epilogue: dst[q] = src[q] + bias, then (as a
-// separate layer) dst[q] = dst[q] > 0 ? dst[q] : 0. Fused with a local t
-// this is the same float additions and the same compare — bitwise
-// identical.
-const auto run_bias_scatter = +[](void* pv, std::size_t n0, std::size_t n1) {
-  const auto& c = *static_cast<const BiasScatterCtx*>(pv);
-  for (std::size_t i = n0; i < n1; ++i) {
-    for (std::size_t oc = 0; oc < c.oc; ++oc) {
-      const float* src = c.yall + oc * c.np + i * c.p;
-      float* dst = c.y + (i * c.oc + oc) * c.p;
-      const float bias = c.bias[oc];
-      if (c.relu) {
-        for (std::size_t q = 0; q < c.p; ++q) {
-          const float t = src[q] + bias;
-          dst[q] = t > 0.0f ? t : 0.0f;
-        }
-      } else {
-        for (std::size_t q = 0; q < c.p; ++q) dst[q] = src[q] + bias;
-      }
-    }
-  }
-};
-
-const auto run_vol2col = +[](void* pv, std::size_t n0, std::size_t n1) {
-  const auto& c = *static_cast<const Vol2ColCtx*>(pv);
-  const ConvGeometry& g = c.g;
-  const ConvGeometry::Volumes& v = c.v;
-  const std::size_t sample = g.in_channels * v.d * v.h * v.w;
-  for (std::size_t i = n0; i < n1; ++i) {
-    vol2col(c.x + i * sample, g.in_channels, v.d, v.h, v.w, g.kernel_d,
-            g.kernel, g.kernel, g.stride_d, g.stride, g.stride,
-            c.col + i * c.p, c.np);
-  }
-};
-
 enum class Op {
-  Conv,   // fp32, or int8 when the step carries quantized weights
+  Conv,   // fp32 implicit GEMM
+  QuantConv,
   Dense,
+  QuantDense,
   Lstm,
   Relu,   // standalone in-place (fused forms never reach here)
   Tanh,   // in-place
-  QuantDense,
 };
 
 struct Step {
@@ -98,18 +43,21 @@ struct Step {
   std::size_t scr0 = kNone, scr1 = kNone, scr2 = kNone;
   bool fuse_relu = false;
 
-  // Parameter pointers resolved at compile time (a load drops the plan,
-  // and the next predict recompiles against the loaded parameters).
-  const float* w = nullptr;
+  // Layers and parameter pointers resolved at compile time (a load drops
+  // the plan, and the next predict recompiles against the loaded
+  // parameters). Dense, QuantDense and QuantConv steps run the layer's own
+  // forward_into kernel.
+  const Dense* dense = nullptr;
+  const QuantDense* qdense = nullptr;
+  const QuantConv* qconv = nullptr;
+  const float* w = nullptr;   // conv weights; LSTM Wx
   const float* w2 = nullptr;  // LSTM Wh
   const float* bias = nullptr;
-  const QuantizedWeights* qw = nullptr;
-  const ActQuant* xq = nullptr;
 
   // Geometry (per-row / per-sample).
   ConvGeometry conv{};              // conv
   ConvGeometry::Volumes vol{};      // conv: input and output volume
-  std::size_t in_f = 0, out_f = 0;  // dense/quantdense; lstm: D, H
+  std::size_t in_f = 0, out_f = 0;  // lstm: D, H
   std::size_t t_len = 0;            // lstm
 };
 
@@ -190,7 +138,7 @@ void CompiledNet::Impl::compile(Sequential& net,
     const auto* qconv = dynamic_cast<const QuantConv*>(&layer);
     if (conv != nullptr || qconv != nullptr) {
       Step s{};
-      s.op = Op::Conv;
+      s.op = conv != nullptr ? Op::Conv : Op::QuantConv;
       s.conv = conv != nullptr ? conv->geometry() : qconv->geometry();
       std::vector<std::size_t> row_shape = shape;  // [1, C, (D,) H, W]
       row_shape.insert(row_shape.begin(), 1);
@@ -203,16 +151,15 @@ void CompiledNet::Impl::compile(Sequential& net,
       if (conv != nullptr) {
         conv->prime_flops(s.vol);
         s.w = conv->weights().data();
+        s.bias = conv->bias().data();
       } else {
         qconv->prime_flops(s.vol);
-        s.qw = &qconv->quantized();
-        s.xq = &qconv->input_quant();
+        s.qconv = qconv;
       }
-      s.bias = layer.params()[1]->value.data();
       s.fuse_relu = fuse_next_relu();
       s.in = cur;
       values[cur].last_use = si;
-      if (s.qw != nullptr) {
+      if (qconv != nullptr) {
         // int8 lowers through the patch matrix; fp32 runs the implicit
         // GEMM, which needs neither buffer.
         s.scr0 = add_value(ckk * p, si, si);                    // patch matrix
@@ -229,16 +176,12 @@ void CompiledNet::Impl::compile(Sequential& net,
       }
       Step s{};
       s.op = Op::Dense;
-      s.in_f = dense->in_features();
-      s.out_f = dense->out_features();
-      const auto params = dense->params();
-      s.w = params[0]->value.data();
-      s.bias = params[1]->value.data();
+      s.dense = dense;
       s.fuse_relu = fuse_next_relu();
       s.in = cur;
       values[cur].last_use = si;
-      s.out = cur = add_value(s.out_f, si, si);
-      shape = {s.out_f};
+      s.out = cur = add_value(dense->out_features(), si, si);
+      shape = {dense->out_features()};
       steps.push_back(s);
     } else if (auto* lstm = dynamic_cast<LSTM*>(&layer)) {
       if (shape.size() != 2 || shape[1] != lstm->input_size()) {
@@ -264,23 +207,19 @@ void CompiledNet::Impl::compile(Sequential& net,
       shape = {s.out_f};
       steps.push_back(s);
     } else if (auto* qdense = dynamic_cast<QuantDense*>(&layer)) {
-      if (elems(shape) != qdense->in_features()) {
-        throw bad_shape("qdense input mismatch");
-      }
+      const std::size_t in_f = qdense->in_features();
+      const std::size_t out_f = qdense->out_features();
+      if (elems(shape) != in_f) throw bad_shape("qdense input mismatch");
       Step s{};
       s.op = Op::QuantDense;
-      s.in_f = qdense->in_features();
-      s.out_f = qdense->out_features();
-      s.qw = &qdense->quantized();
-      s.xq = &qdense->input_quant();
-      s.bias = qdense->params()[1]->value.data();
+      s.qdense = qdense;
       s.fuse_relu = fuse_next_relu();
       s.in = cur;
       values[cur].last_use = si;
-      s.scr0 = add_value(bytes_as_floats(s.in_f), si, si);  // q(x)^T bytes
-      s.scr1 = add_value(s.out_f, si, si);                  // y^T
-      s.out = cur = add_value(s.out_f, si, si);
-      shape = {s.out_f};
+      s.scr0 = add_value(bytes_as_floats(in_f), si, si);  // q(x)^T bytes
+      s.scr1 = add_value(out_f, si, si);                  // y^T
+      s.out = cur = add_value(out_f, si, si);
+      shape = {out_f};
       steps.push_back(s);
     } else if (dynamic_cast<ReLU*>(&layer) != nullptr) {
       // Only reached when the producer was not fusable (e.g. after a
@@ -380,7 +319,10 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
   const auto src_of = [&](std::size_t vi) -> const float* {
     return vi == 0 ? x : at(vi);
   };
-  auto& pool = util::ThreadPool::shared();
+  // Byte-typed views of float slots (quantized activations).
+  const auto bytes_at = [&](std::size_t vi) {
+    return reinterpret_cast<std::uint8_t*>(at(vi));
+  };
   const std::size_t n = rows;
 
   for (const Step& s : steps) {
@@ -388,42 +330,24 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
       case Op::Conv: {
         const ConvGeometry& g = s.conv;
         const ConvGeometry::Volumes& v = s.vol;
-        if (s.qw == nullptr) {
-          conv_implicit_gemm(src_of(s.in), n, g.in_channels, v.d, v.h, v.w,
-                             g.kernel_d, g.kernel, g.kernel, g.stride_d,
-                             g.stride, g.stride, s.w, g.out_channels, s.bias,
-                             s.fuse_relu, at(s.out));
-          break;
-        }
-        const std::size_t oc = g.out_channels, ckk = g.patch_rows();
-        const std::size_t p = v.positions(), np = n * p;
-        float* col = at(s.scr0);
-        Vol2ColCtx vc{src_of(s.in), col, g, v, p, np};
-        pool.parallel_for_chunks_raw(0, n, run_vol2col, &vc);
-        float* yall = at(s.scr2);
-        auto* qcol = reinterpret_cast<std::uint8_t*>(at(s.scr1));
-        quantize_activations(col, ckk * np, *s.xq, qcol);
-        qgemm(*s.qw, qcol, np, *s.xq, yall, np);
-        BiasScatterCtx bc{yall, at(s.out), s.bias, oc, p, np, s.fuse_relu};
-        pool.parallel_for_chunks_raw(0, n, run_bias_scatter, &bc);
+        conv_implicit_gemm(src_of(s.in), n, g.in_channels, v.d, v.h, v.w,
+                           g.kernel_d, g.kernel, g.kernel, g.stride_d,
+                           g.stride, g.stride, s.w, g.out_channels, s.bias,
+                           s.fuse_relu, at(s.out));
         break;
       }
-      case Op::Dense: {
-        float* y = at(s.out);
-        for (std::size_t i = 0; i < n; ++i) {
-          float* yi = y + i * s.out_f;
-          for (std::size_t o = 0; o < s.out_f; ++o) yi[o] = s.bias[o];
-        }
-        sgemm(false, true, n, s.out_f, s.in_f, 1.0f, src_of(s.in), s.in_f,
-              s.w, s.in_f, 1.0f, y, s.out_f);
-        if (s.fuse_relu) {
-          const std::size_t total = n * s.out_f;
-          for (std::size_t i = 0; i < total; ++i) {
-            y[i] = y[i] > 0.0f ? y[i] : 0.0f;
-          }
-        }
+      case Op::QuantConv:
+        s.qconv->forward_into(src_of(s.in), n, s.vol, at(s.scr0),
+                              bytes_at(s.scr1), at(s.scr2), at(s.out),
+                              s.fuse_relu);
         break;
-      }
+      case Op::Dense:
+        s.dense->forward_into(src_of(s.in), n, at(s.out), s.fuse_relu);
+        break;
+      case Op::QuantDense:
+        s.qdense->forward_into(src_of(s.in), n, bytes_at(s.scr0), at(s.scr1),
+                               at(s.out), s.fuse_relu);
+        break;
       case Op::Lstm: {
         const std::size_t d = s.in_f, hs = s.out_f, t_len = s.t_len;
         const float* xin = src_of(s.in);  // [n, T*D] == [n, T, D]
@@ -474,27 +398,6 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
         float* buf = at(s.out);
         const std::size_t total = n * values[s.out].row_elems;
         for (std::size_t i = 0; i < total; ++i) buf[i] = std::tanh(buf[i]);
-        break;
-      }
-      case Op::QuantDense: {
-        const float* xin = src_of(s.in);
-        auto* qx = reinterpret_cast<std::uint8_t*>(at(s.scr0));
-        for (std::size_t i = 0; i < n; ++i) {
-          const float* xr = xin + i * s.in_f;
-          for (std::size_t p = 0; p < s.in_f; ++p) {
-            qx[p * n + i] = quantize_activation(xr[p], *s.xq);
-          }
-        }
-        float* yt = at(s.scr1);
-        qgemm(*s.qw, qx, n, *s.xq, yt, n);
-        float* y = at(s.out);
-        for (std::size_t i = 0; i < n; ++i) {
-          float* yr = y + i * s.out_f;
-          for (std::size_t o = 0; o < s.out_f; ++o) {
-            const float t = yt[o * n + i] + s.bias[o];
-            yr[o] = s.fuse_relu ? (t > 0.0f ? t : 0.0f) : t;
-          }
-        }
         break;
       }
     }

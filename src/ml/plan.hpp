@@ -6,18 +6,21 @@
 // batch. CompiledNet does that walk ONCE: compile() lowers the layer list
 // into a flat step program (one implicit-GEMM call with a fused bias/ReLU
 // epilogue per fp32 conv, gate GEMMs onto preallocated scratch for the
-// LSTM, vol2col + packed int8 steps for the quantized twins), runs a
+// LSTM, and the layer's own forward_into kernel for every Dense,
+// QuantDense and QuantConv, with a following ReLU fused in), runs a
 // liveness analysis over every intermediate buffer, and first-fit assigns
 // them into ONE float arena sized for a fixed batch cap. Steady-state
 // execution then performs zero heap allocations: staging, GEMMs and
 // epilogues all run inside the arena (or in grow-only per-thread kernel
-// scratch) through the ThreadPool's raw (allocation-free) dispatch.
+// scratch), and the ThreadPool's parallel regions allocate nothing.
 //
 // Bitwise contract: every output element of a compiled step gets the same
-// arithmetic as in the layer's own forward (same operands, same reduction
-// order, the same fused or unfused multiply-adds, same epilogue), though
-// not always through the same kernel calls, so outputs are bit-identical
-// to Sequential::forward(x, false) for every batch size up to the cap.
+// arithmetic as in the layer's own forward. Dense, QuantDense and QuantConv
+// steps call the very kernel the layer's forward calls; the fp32 conv and
+// LSTM steps repeat the layer's arithmetic (same operands, same reduction
+// order, the same fused or unfused multiply-adds, same epilogue) through
+// other kernel calls. So outputs are bit-identical to
+// Sequential::forward(x, false) for every batch size up to the cap.
 // ctest -L plan holds this as an oracle across the nets of the whole model
 // zoo, fp32 and int8, and across hand-built conv shapes.
 #pragma once

@@ -302,8 +302,7 @@ bool qgemm_isa_supported(QGemmIsa isa) {
 }
 
 void qgemm(const QuantizedWeights& w, const std::uint8_t* x, std::size_t n,
-           const ActQuant& xq, float* c, std::size_t ldc, bool parallel,
-           QGemmIsa isa) {
+           const ActQuant& xq, float* c, std::size_t ldc, QGemmIsa isa) {
   const std::size_t m = w.rows, k = w.cols;
   if (m == 0 || n == 0) return;
   if (isa == QGemmIsa::Auto) {
@@ -313,48 +312,32 @@ void qgemm(const QuantizedWeights& w, const std::uint8_t* x, std::size_t n,
   }
   detail::record_qgemm(2ull * m * n * k);
 
-  // Raw (allocation-free) tile dispatch, mirroring sgemm: tile -> C
-  // columns is a pure function of the tile index and integer accumulation
-  // is exact, so chunking cannot affect the bitwise contract.
-  struct TileCtx {
-    const QuantizedWeights* w;
-    const std::uint8_t* x;
-    std::size_t n;
-    const ActQuant* xq;
-    float* c;
-    std::size_t ldc;
-    QGemmIsa isa;
-  };
-  TileCtx ctx{&w, x, n, &xq, c, ldc, isa};
-  const auto run_tiles = +[](void* p, std::size_t t0, std::size_t t1) {
-    const TileCtx& ctx = *static_cast<const TileCtx*>(p);
+  // Tile -> C columns is a pure function of the tile index and integer
+  // accumulation is exact, so chunking cannot affect the bitwise contract.
+  const auto run_tiles = [&](std::size_t t0, std::size_t t1) {
     for (std::size_t t = t0; t < t1; ++t) {
       const std::size_t j0 = t * QNC;
-      const std::size_t nt = std::min(QNC, ctx.n - j0);
+      const std::size_t nt = std::min(QNC, n - j0);
 #ifdef AUTOLEARN_QGEMM_DISPATCH
-      if (ctx.isa == QGemmIsa::Avx2) {
-        const std::size_t k = ctx.w->cols;
+      if (isa == QGemmIsa::Avx2) {
         const std::size_t panel_bytes =
             ((nt + QNR - 1) / QNR) * quads(k) * QNR * QKQ;
         if (tl_pack_x.size() < panel_bytes) tl_pack_x.resize(panel_bytes);
-        pack_x_tile(ctx.x, ctx.n, k, j0, nt, tl_pack_x.data());
-        qgemm_tile_avx2(*ctx.w, tl_pack_x.data(), nt, *ctx.xq, ctx.c,
-                        ctx.ldc, j0);
+        pack_x_tile(x, n, k, j0, nt, tl_pack_x.data());
+        qgemm_tile_avx2(w, tl_pack_x.data(), nt, xq, c, ldc, j0);
         continue;
       }
 #endif
-      qgemm_tile_scalar(*ctx.w, ctx.x, ctx.n, *ctx.xq, ctx.c, ctx.ldc, j0,
-                        nt);
+      qgemm_tile_scalar(w, x, n, xq, c, ldc, j0, nt);
     }
   };
 
   const std::size_t tiles = (n + QNC - 1) / QNC;
   const bool tiny = 2ull * m * n * k < (1ull << 16);
-  if (!parallel || tiles == 1 || tiny) {
-    run_tiles(&ctx, 0, tiles);
+  if (tiny) {
+    run_tiles(0, tiles);
   } else {
-    util::ThreadPool::shared().parallel_for_chunks_raw(0, tiles, run_tiles,
-                                                       &ctx);
+    util::ThreadPool::shared().parallel_for_chunks(0, tiles, run_tiles);
   }
 }
 

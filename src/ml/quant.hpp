@@ -91,12 +91,11 @@ bool qgemm_isa_supported(QGemmIsa isa);
 /// x is the quantized activation matrix, row-major [k, n] with values in
 /// [0, kActMax] (produced by quantize_activations — larger values would
 /// saturate the AVX2 path). C is float with leading dimension ldc and is
-/// overwritten (never read). `parallel` follows the sgemm contract: tiles
-/// of C columns go to the shared ThreadPool; pass false inside pool
-/// tasks. Throws std::invalid_argument if `isa` names an unsupported
-/// kernel.
+/// overwritten (never read). As in sgemm, tiles of C columns go to the
+/// shared ThreadPool, so do not call from inside a pool region. Throws
+/// std::invalid_argument if `isa` names an unsupported kernel.
 void qgemm(const QuantizedWeights& w, const std::uint8_t* x, std::size_t n,
            const ActQuant& xq, float* c, std::size_t ldc,
-           bool parallel = true, QGemmIsa isa = QGemmIsa::Auto);
+           QGemmIsa isa = QGemmIsa::Auto);
 
 }  // namespace autolearn::ml

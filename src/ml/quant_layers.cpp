@@ -35,23 +35,31 @@ Tensor QuantDense::forward(const Tensor& x, bool /*train*/) {
   }
   const std::size_t n = x.dim(0);
   if (qx_.size() < in_ * n) qx_.resize(in_ * n);
+  if (yt_.size() < out_ * n) yt_.resize(out_ * n);
+  Tensor y({n, out_});
+  forward_into(x.data(), n, qx_.data(), yt_.data(), y.data(), /*relu=*/false);
+  return y;
+}
+
+void QuantDense::forward_into(const float* x, std::size_t n, std::uint8_t* qx,
+                              float* yt, float* y, bool relu) const {
   // qgemm wants activations as [k, n] columns: quantize and transpose in
   // one pass. Per-element math matches quantize_activations exactly.
   for (std::size_t i = 0; i < n; ++i) {
-    const float* xr = x.data() + i * in_;
+    const float* xr = x + i * in_;
     for (std::size_t p = 0; p < in_; ++p) {
-      qx_[p * n + i] = quantize_activation(xr[p], xq_);
+      qx[p * n + i] = quantize_activation(xr[p], xq_);
     }
   }
-  if (yt_.size() < out_ * n) yt_.resize(out_ * n);
-  qgemm(qw_, qx_.data(), n, xq_, yt_.data(), n);
-  Tensor y({n, out_});
-  const Tensor& bt = b_.value;
+  qgemm(qw_, qx, n, xq_, yt, n);
+  const float* b = b_.value.data();
   for (std::size_t i = 0; i < n; ++i) {
-    float* yr = y.data() + i * out_;
-    for (std::size_t o = 0; o < out_; ++o) yr[o] = yt_[o * n + i] + bt[o];
+    float* yr = y + i * out_;
+    for (std::size_t o = 0; o < out_; ++o) {
+      const float t = yt[o * n + i] + b[o];
+      yr[o] = relu ? (t > 0.0f ? t : 0.0f) : t;
+    }
   }
-  return y;
 }
 
 Tensor QuantDense::backward(const Tensor& /*grad_out*/) { frozen("QuantDense"); }
@@ -70,14 +78,23 @@ Tensor QuantConv::forward(const Tensor& x, bool /*train*/) {
   const std::size_t n = x.dim(0), ckk = g_.patch_rows();
   const std::size_t np = n * v.positions();
   float* col = scratch_.get(kSlotCol, ckk * np);
-  g_.gather(x.data(), n, v, col);
   if (qcol_.size() < ckk * np) qcol_.resize(ckk * np);
-  quantize_activations(col, ckk * np, xq_, qcol_.data());
   float* yall = scratch_.get(kSlotOut, g_.out_channels * np);
-  qgemm(qw_, qcol_.data(), np, xq_, yall, np);
   Tensor y(g_.out_shape(n, v));
-  g_.scatter(yall, b_.value.data(), n, v, y.data());
+  forward_into(x.data(), n, v, col, qcol_.data(), yall, y.data(),
+               /*relu=*/false);
   return y;
+}
+
+void QuantConv::forward_into(const float* x, std::size_t n,
+                             const ConvGeometry::Volumes& v, float* col,
+                             std::uint8_t* qcol, float* yall, float* y,
+                             bool relu) const {
+  const std::size_t np = n * v.positions();
+  g_.gather(x, n, v, col);
+  quantize_activations(col, g_.patch_rows() * np, xq_, qcol);
+  qgemm(qw_, qcol, np, xq_, yall, np);
+  g_.scatter(yall, b_.value.data(), n, v, y, relu);
 }
 
 Tensor QuantConv::backward(const Tensor& /*grad_out*/) { frozen("QuantConv"); }

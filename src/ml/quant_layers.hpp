@@ -31,10 +31,15 @@ class QuantDense : public Layer {
   std::string name() const override { return "qdense"; }
   std::uint64_t flops_per_sample() const override { return 2ull * in_ * out_; }
 
-  const QuantizedWeights& quantized() const { return qw_; }
-  const ActQuant& input_quant() const { return xq_; }
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
+
+  /// The one QuantDense forward kernel, into the caller's buffers: x
+  /// [n, in] is quantized and transposed into qx [in, n] bytes, qgemm
+  /// writes yt [out, n], and y [n, out] = yt^T + b, then max(0, .) when
+  /// `relu`. forward() and the compiled plan's int8 dense step both run it.
+  void forward_into(const float* x, std::size_t n, std::uint8_t* qx,
+                    float* yt, float* y, bool relu) const;
 
  private:
   std::size_t in_, out_;
@@ -62,9 +67,17 @@ class QuantConv : public Layer {
   }
   std::uint64_t flops_per_sample() const override { return flops_; }
 
-  const QuantizedWeights& quantized() const { return qw_; }
-  const ActQuant& input_quant() const { return xq_; }
   const ConvGeometry& geometry() const { return g_; }
+
+  /// The one QuantConv forward kernel, into the caller's buffers, for n
+  /// samples of volume `v`: gather x into the patch matrix col [CKK, N*P],
+  /// quantize it into qcol (CKK*N*P bytes), qgemm into yall [OC, N*P], and
+  /// scatter with the bias (and max(0, .) when `relu`) into y [N, OC, P].
+  /// forward() and the compiled plan's int8 conv step both run it.
+  void forward_into(const float* x, std::size_t n,
+                    const ConvGeometry::Volumes& v, float* col,
+                    std::uint8_t* qcol, float* yall, float* y,
+                    bool relu) const;
 
   /// Plan-compile hook; see Conv::prime_flops.
   void prime_flops(const ConvGeometry::Volumes& v) const {

@@ -1,9 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
-#include <exception>
 
 namespace autolearn::util {
 
@@ -26,51 +24,26 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> pt(std::move(task));
-  auto fut = pt.get_future();
-  {
-    std::scoped_lock lock(mu_);
-    tasks_.push(std::move(pt));
-  }
-  cv_.notify_one();
-  return fut;
-}
-
 void ThreadPool::worker_loop() {
+  std::unique_lock lock(mu_);
   for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait(lock, [this] {
-        return stop_ || !tasks_.empty() ||
-               (raw_fn_ != nullptr && raw_next_ < raw_parts_);
-      });
-      if (raw_fn_ != nullptr && raw_next_ < raw_parts_) {
-        run_raw_chunks(lock);
-        continue;
-      }
-      if (tasks_.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();  // packaged_task captures exceptions into the future
+    cv_.wait(lock, [this] {
+      return stop_ || (fn_ != nullptr && next_ < parts_);
+    });
+    if (fn_ == nullptr || next_ >= parts_) return;  // stop_, nothing to claim
+    run_chunks(lock);
   }
 }
 
-void ThreadPool::run_raw_chunks(std::unique_lock<std::mutex>& lock) {
+void ThreadPool::run_chunks(std::unique_lock<std::mutex>& lock) {
   // The region description is copied out before unlocking: the caller
-  // clears the raw_* fields once raw_done_ reaches raw_parts_, which can
-  // happen while this thread still runs its last chunk.
-  const RawChunkFn fn = raw_fn_;
-  void* const ctx = raw_ctx_;
-  const std::size_t begin = raw_begin_, end = raw_end_, chunk = raw_chunk_;
-  while (raw_fn_ == fn && raw_next_ < raw_parts_) {
-    const std::size_t i = raw_next_++;
-    const std::size_t b = begin + i * chunk;
+  // clears fn_ and ctx_ once done_ reaches parts_, which can happen while
+  // this thread still runs its last chunk.
+  const RawChunkFn fn = fn_;
+  const void* const ctx = ctx_;
+  const std::size_t begin = begin_, end = end_, chunk = chunk_;
+  while (next_ < parts_) {
+    const std::size_t b = begin + next_++ * chunk;
     const std::size_t e = std::min(end, b + chunk);
     lock.unlock();
     std::exception_ptr err;
@@ -80,95 +53,41 @@ void ThreadPool::run_raw_chunks(std::unique_lock<std::mutex>& lock) {
       err = std::current_exception();
     }
     lock.lock();
-    if (err && !raw_error_) raw_error_ = err;
-    if (++raw_done_ == raw_parts_) raw_done_cv_.notify_all();
+    if (err && !error_) error_ = err;
+    if (++done_ == parts_) done_cv_.notify_all();
   }
 }
 
 void ThreadPool::parallel_for_chunks_raw(std::size_t begin, std::size_t end,
-                                         RawChunkFn fn, void* ctx,
-                                         std::size_t grain) {
-  if (begin >= end) return;
+                                         RawChunkFn fn, const void* ctx) {
   const std::size_t n = end - begin;
-  // Same inline fast path as parallel_for_chunks: tiny ranges and
-  // single-worker pools never touch the region machinery.
-  if (n <= grain || workers_.size() <= 1) {
-    fn(ctx, begin, end);
-    return;
-  }
-  // One region at a time; competing callers queue here (no allocation —
+  // One region at a time; competing callers wait here (no allocation —
   // mutex waits are intrusive).
-  std::scoped_lock owner(raw_owner_mu_);
+  std::scoped_lock region(region_mu_);
   std::exception_ptr err;
   {
     std::unique_lock lock(mu_);
-    raw_fn_ = fn;
-    raw_ctx_ = ctx;
-    raw_begin_ = begin;
-    raw_end_ = end;
-    raw_parts_ = std::min(n, workers_.size() + 1);
-    raw_chunk_ = (n + raw_parts_ - 1) / raw_parts_;
-    raw_next_ = 0;
-    raw_done_ = 0;
-    raw_error_ = nullptr;
+    fn_ = fn;
+    ctx_ = ctx;
+    begin_ = begin;
+    end_ = end;
+    chunk_ = (n + workers_.size()) / (workers_.size() + 1);
+    // Rounding the chunk up can leave fewer non-empty chunks than
+    // workers + 1; only those are handed out.
+    parts_ = (n + chunk_ - 1) / chunk_;
+    next_ = 0;
+    done_ = 0;
+    error_ = nullptr;
     cv_.notify_all();
     // The caller contributes work instead of just blocking.
-    run_raw_chunks(lock);
-    raw_done_cv_.wait(lock, [this] { return raw_done_ == raw_parts_; });
-    raw_fn_ = nullptr;
-    raw_ctx_ = nullptr;
-    err = raw_error_;
-    raw_error_ = nullptr;
+    run_chunks(lock);
+    done_cv_.wait(lock, [this] { return done_ == parts_; });
+    fn_ = nullptr;
+    ctx_ = nullptr;
+    err = error_;
+    error_ = nullptr;
   }
   if (err) std::rethrow_exception(err);
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t grain) {
-  parallel_for_chunks(
-      begin, end,
-      [&fn](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) fn(i);
-      },
-      grain);
-}
-
-void ThreadPool::parallel_for_chunks(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t grain) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  // Inline fast path: tiny ranges and single-worker pools gain nothing
-  // from the enqueue/future round trip (and the single-worker case keeps
-  // serial-pool runs free of any scheduling at all).
-  if (n <= grain || workers_.size() <= 1) {
-    fn(begin, end);
-    return;
-  }
-  const std::size_t parts = std::min(n, workers_.size() + 1);
-  const std::size_t chunk = (n + parts - 1) / parts;
-  std::vector<std::future<void>> futures;
-  futures.reserve(parts - 1);
-  std::size_t b = begin;
-  // First (parts-1) chunks go to the pool; the last runs on this thread so
-  // the caller contributes work instead of just blocking.
-  for (std::size_t p = 0; p + 1 < parts && b < end; ++p) {
-    const std::size_t e = std::min(end, b + chunk);
-    futures.push_back(submit([&fn, b, e] { fn(b, e); }));
-    b = e;
-  }
-  if (b < end) fn(b, end);
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 namespace {
@@ -178,10 +97,13 @@ ThreadPool* shared_override = nullptr;
 std::size_t ThreadPool::env_thread_override() {
   const char* env = std::getenv("AUTOLEARN_THREADS");
   if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == nullptr || *end != '\0') return 0;
-  return static_cast<std::size_t>(v);
+  std::size_t v = 0;
+  for (const char* p = env; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return 0;
+    v = v * 10 + static_cast<std::size_t>(*p - '0');
+    if (v > kMaxEnvThreads) return 0;  // also stops before any overflow
+  }
+  return v;
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -140,14 +140,19 @@ TEST(Sgemm, ParallelIsBitwiseIdenticalToSerial) {
   const auto a = random_vec(m * k, rng);
   const auto b = random_vec(k * n, rng);
   std::vector<float> serial(m * n, 0.0f);
-  sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-        serial.data(), n, /*parallel=*/false);
+  {
+    // A single-worker pool runs every tile inline on this thread.
+    util::ThreadPool pool(1);
+    util::ThreadPool::ScopedOverride guard(pool);
+    sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
+          serial.data(), n);
+  }
   for (const std::size_t workers : {1u, 3u, 4u}) {
     util::ThreadPool pool(workers);
     util::ThreadPool::ScopedOverride guard(pool);
     std::vector<float> par(m * n, 0.0f);
     sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
-          par.data(), n, /*parallel=*/true);
+          par.data(), n);
     for (std::size_t i = 0; i < par.size(); ++i) {
       ASSERT_EQ(par[i], serial[i]) << "workers=" << workers << " at " << i;
     }

@@ -3,13 +3,16 @@
 // new/delete overrides tick util::allocation_count(). A fresh model's
 // first predict_batch compiles its plan and allocates (asserted, so the
 // hooks are proven live); every later predict_batch, over-cap chunked
-// batches included, must perform ZERO heap allocations. Selected by
-// `ctest -L plan`.
+// batches included, must perform ZERO heap allocations. So must a pool
+// region and the conv gather/scatter the int8 plan runs through it.
+// Selected by `ctest -L plan`.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "camera/image.hpp"
+#include "ml/conv.hpp"
 #include "ml/driving_model.hpp"
 #include "ml/quant_model.hpp"
 #include "util/alloc_counter.hpp"
@@ -52,12 +55,43 @@ TEST(AllocHooks, CountAllocations) {
   delete p;
 }
 
+TEST(RegionZeroAlloc, GatherScatterAndWideCapturesAllocateNothing) {
+  // A single-worker pool runs every region inline, so the count is exact.
+  util::ThreadPool pool(1);
+  util::ThreadPool::ScopedOverride override_pool(pool);
+
+  const ConvGeometry g{2, 3, 1, 3, 1, 2, false};  // 2 -> 3 channels, 3x3/2
+  const std::size_t n = 4;
+  const ConvGeometry::Volumes v = g.volumes({n, 2, 9, 11});
+  const std::size_t np = n * v.positions();
+  const std::vector<float> x(n * 2 * 9 * 11, 0.5f), bias(3, 0.125f);
+  const std::vector<float> yall(3 * np, -0.25f);
+  std::vector<float> col(g.patch_rows() * np), y(3 * np);
+  // 32 bytes captured by value plus a reference: past the 16 bytes a
+  // std::function holds without allocating.
+  const std::array<std::size_t, 4> wide{1, 2, 3, 4};
+  std::size_t sum = 0;
+
+  util::AllocCounterScope scope;
+  g.gather(x.data(), n, v, col.data());
+  g.scatter(yall.data(), bias.data(), n, v, y.data(), /*relu=*/false);
+  g.scatter(yall.data(), bias.data(), n, v, y.data(), /*relu=*/true);
+  pool.parallel_for_chunks(0, n, [wide, &sum](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) sum += wide[i];
+  });
+  const std::size_t allocs = scope.delta();
+  EXPECT_EQ(allocs, 0u) << "a pool region heap-allocated";
+  EXPECT_EQ(sum, 10u);
+  EXPECT_EQ(col[0], 0.5f);
+  EXPECT_EQ(y[0], 0.0f);  // -0.25 + 0.125 through the fused ReLU
+}
+
 class PlanZeroAlloc : public ::testing::TestWithParam<ModelType> {};
 
 TEST_P(PlanZeroAlloc, SteadyStatePredictBatchIsAllocationFree) {
-  // Single-worker pool: the raw chunk dispatch runs inline on the caller,
-  // so the measurement excludes worker-thread scheduling noise. (The
-  // multi-worker path is also allocation-free — chunks are claimed from
+  // Single-worker pool: every pool region runs inline on the caller, so
+  // the measurement excludes worker-thread scheduling noise. (A region on
+  // more workers is also allocation-free — chunks are claimed from
   // pool-resident state — but worker wakeups make the count racy to read.)
   util::ThreadPool pool(1);
   util::ThreadPool::ScopedOverride override_pool(pool);

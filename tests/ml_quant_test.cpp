@@ -186,8 +186,8 @@ TEST(QGemm, ScalarAndAvx2AreBitwiseIdentical) {
     std::vector<std::uint8_t> qx(x.size());
     quantize_activations(x.data(), x.size(), xq, qx.data());
     std::vector<float> scalar(s.m * s.n, 0.0f), avx2(s.m * s.n, 0.0f);
-    qgemm(qw, qx.data(), s.n, xq, scalar.data(), s.n, true, QGemmIsa::Scalar);
-    qgemm(qw, qx.data(), s.n, xq, avx2.data(), s.n, true, QGemmIsa::Avx2);
+    qgemm(qw, qx.data(), s.n, xq, scalar.data(), s.n, QGemmIsa::Scalar);
+    qgemm(qw, qx.data(), s.n, xq, avx2.data(), s.n, QGemmIsa::Avx2);
     for (std::size_t i = 0; i < scalar.size(); ++i) {
       ASSERT_EQ(scalar[i], avx2[i])
           << "m=" << s.m << " n=" << s.n << " k=" << s.k << " at " << i;
@@ -225,12 +225,17 @@ TEST(QGemm, ParallelIsBitwiseIdenticalToSerial) {
   std::vector<std::uint8_t> qx(x.size());
   quantize_activations(x.data(), x.size(), xq, qx.data());
   std::vector<float> serial(m * n, 0.0f);
-  qgemm(qw, qx.data(), n, xq, serial.data(), n, /*parallel=*/false);
+  {
+    // A single-worker pool runs every tile inline on this thread.
+    util::ThreadPool pool(1);
+    util::ThreadPool::ScopedOverride guard(pool);
+    qgemm(qw, qx.data(), n, xq, serial.data(), n);
+  }
   for (const std::size_t workers : {1u, 3u, 4u}) {
     util::ThreadPool pool(workers);
     util::ThreadPool::ScopedOverride guard(pool);
     std::vector<float> par(m * n, 0.0f);
-    qgemm(qw, qx.data(), n, xq, par.data(), n, /*parallel=*/true);
+    qgemm(qw, qx.data(), n, xq, par.data(), n);
     for (std::size_t i = 0; i < par.size(); ++i) {
       ASSERT_EQ(par[i], serial[i]) << "workers=" << workers << " at " << i;
     }

@@ -542,6 +542,80 @@ TEST(Models, LoadFullRejectsOptimizerSlotsThatDoNotFitTheModel) {
   }
 }
 
+// --- model bundles ----------------------------------------------------------
+
+/// A bundle as save_model_bundle writes it for a `type` model built from
+/// the default config, with `header` written as its config.
+std::string bundle_with_header(ModelType type, const ModelConfig& header) {
+  const auto model = make_model(type, ModelConfig{});
+  std::ostringstream os;
+  save_model_bundle(os, *model, header);
+  return os.str();
+}
+
+TEST(ModelBundle, InBoundsConfigsRoundTrip) {
+  // The default config, and the largest frame a bench trains (64x48).
+  ModelConfig wide;
+  wide.img_w = 64;
+  wide.img_h = 48;
+  for (const ModelConfig& cfg : {ModelConfig{}, wide}) {
+    for (ModelType t : all_model_types()) {
+      const auto model = make_model(t, cfg);
+      std::stringstream buf;
+      save_model_bundle(buf, *model, cfg);
+      const LoadedModelBundle loaded = load_model_bundle(buf);
+      EXPECT_EQ(loaded.model->type(), t);
+      EXPECT_EQ(loaded.config.img_w, cfg.img_w);
+      EXPECT_EQ(loaded.config.img_h, cfg.img_h);
+      EXPECT_EQ(loaded.model->num_parameters(), model->num_parameters());
+    }
+  }
+}
+
+TEST(ModelBundle, ForgedConfigIsATypedError) {
+  struct Case {
+    const char* what;
+    ModelType type;
+    ModelConfig header;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](const char* what, ModelType type, auto forge) {
+    ModelConfig header;
+    forge(header);
+    cases.push_back({what, type, header});
+  };
+  // Each of the first three escaped as an untyped exception from
+  // make_model: std::bad_alloc, then std::invalid_argument twice.
+  add("2^20 x 2^20 frame", ModelType::Linear, [](ModelConfig& c) {
+    c.img_w = c.img_h = std::size_t{1} << 20;
+  });
+  add("2 x 2 frame", ModelType::Linear,
+      [](ModelConfig& c) { c.img_w = c.img_h = 2; });
+  add("3d with seq_len 1", ModelType::Conv3d,
+      [](ModelConfig& c) { c.seq_len = 1; });
+  add("zero-width frame", ModelType::Inferred,
+      [](ModelConfig& c) { c.img_w = 0; });
+  add("65-row frame", ModelType::Linear, [](ModelConfig& c) { c.img_h = 65; });
+  add("seq_len 9", ModelType::Rnn, [](ModelConfig& c) { c.seq_len = 9; });
+  add("history_len 9", ModelType::Memory,
+      [](ModelConfig& c) { c.history_len = 9; });
+  add("one steering bin", ModelType::Categorical,
+      [](ModelConfig& c) { c.steering_bins = 1; });
+  add("2^40 throttle bins", ModelType::Categorical,
+      [](ModelConfig& c) { c.throttle_bins = std::size_t{1} << 40; });
+  add("dropout 1", ModelType::Linear, [](ModelConfig& c) { c.dropout = 1.0; });
+
+  for (const Case& c : cases) {
+    std::istringstream is(bundle_with_header(c.type, c.header));
+    try {
+      load_model_bundle(is);
+      ADD_FAILURE() << c.what << ": loaded";
+    } catch (const ModelLoadError& e) {
+      EXPECT_EQ(e.code(), ModelLoadError::Code::BadHeader) << c.what;
+    }
+  }
+}
+
 TEST(Trainer, EarlyStoppingStops) {
   // A high learning rate converges fast and then oscillates around the
   // optimum, so validation loss stops improving and patience kicks in.
