@@ -9,16 +9,14 @@
 namespace autolearn::ml {
 namespace {
 
-// ScratchArena slot ids. Every convolution runs the same batched vol2col +
-// GEMM pipeline: the whole batch shares one [CKK, N*P] patch matrix
-// (sample i owns columns [i*P, (i+1)*P)), so the forward pass is a single
-// W[oc, CKK] @ col GEMM and the backward pass is the two adjoint GEMMs —
-// the batch reduction for dW happens inside the GEMM k-loop, which is
+// ScratchArena slot ids of the backward pass. The whole batch shares one
+// [CKK, N*P] patch matrix (sample i owns columns [i*P, (i+1)*P)), so the
+// backward pass is the two adjoint GEMMs of the forward's W[oc, CKK] @ col
+// — the batch reduction for dW happens inside the GEMM k-loop, which is
 // what keeps it deterministic under parallelism.
 constexpr std::size_t kSlotCol = 0;   // patch matrix          [CKK, N*P]
-constexpr std::size_t kSlotOut = 1;   // batched output        [OC, N*P]
-constexpr std::size_t kSlotGrad = 2;  // gathered grad_out     [OC, N*P]
-constexpr std::size_t kSlotDcol = 3;  // grad patch matrix     [CKK, N*P]
+constexpr std::size_t kSlotGrad = 1;  // gathered grad_out     [OC, N*P]
+constexpr std::size_t kSlotDcol = 2;  // grad patch matrix     [CKK, N*P]
 
 const char* conv_name(const ConvGeometry& g) {
   return g.depth_axis ? "conv3d" : "conv2d";
@@ -115,27 +113,29 @@ std::string Conv::name() const { return conv_name(g_); }
 
 Tensor Conv::forward(const Tensor& x, bool /*train*/) {
   const ConvGeometry::Volumes v = g_.volumes(x.shape());
-  in_shape_ = x.shape();
+  last_input_ = x;
   flops_ = g_.flops(v);
-  const std::size_t n = x.dim(0), oc = g_.out_channels;
-  const std::size_t ckk = g_.patch_rows(), np = n * v.positions();
-  float* col = scratch_.get(kSlotCol, ckk * np);
-  g_.gather(x.data(), n, v, col);
-  // One GEMM for the whole batch: Y[oc, N*P] = W[oc, CKK] @ col[CKK, N*P].
-  float* yall = scratch_.get(kSlotOut, oc * np);
-  sgemm(false, false, oc, np, ckk, 1.0f, w_.value.data(), ckk, col, np, 0.0f,
-        yall, np);
+  const std::size_t n = x.dim(0);
   Tensor y(g_.out_shape(n, v));
-  g_.scatter(yall, b_.value.data(), n, v, y.data(), /*relu=*/false);
+  forward_into(x.data(), n, v, y.data(), /*relu=*/false);
   return y;
 }
 
+void Conv::forward_into(const float* x, std::size_t n,
+                        const ConvGeometry::Volumes& v, float* y,
+                        bool relu) const {
+  conv_implicit_gemm(x, n, g_.in_channels, v.d, v.h, v.w, g_.kernel_d,
+                     g_.kernel, g_.kernel, g_.stride_d, g_.stride, g_.stride,
+                     w_.value.data(), g_.out_channels, b_.value.data(), relu,
+                     y);
+}
+
 Tensor Conv::backward(const Tensor& grad_out) {
-  if (in_shape_.empty()) {
+  if (last_input_.rank() == 0) {
     throw std::logic_error(name() + ": backward before forward");
   }
-  const ConvGeometry::Volumes v = g_.volumes(in_shape_);
-  const std::size_t n = in_shape_[0], oc = g_.out_channels;
+  const ConvGeometry::Volumes v = g_.volumes(last_input_.shape());
+  const std::size_t n = last_input_.dim(0), oc = g_.out_channels;
   if (grad_out.shape() != g_.out_shape(n, v)) {
     throw std::invalid_argument(name() + ": bad grad shape " +
                                 grad_out.shape_str());
@@ -160,16 +160,16 @@ Tensor Conv::backward(const Tensor& grad_out) {
     db[o] += acc;
   }
   // dW[oc, CKK] += G[oc, N*P] @ col[CKK, N*P]^T — the batch+position
-  // reduction runs inside the GEMM k-loop (col is still valid from the
-  // forward pass on this batch).
+  // reduction runs inside the GEMM k-loop.
   float* col = scratch_.get(kSlotCol, ckk * np);
+  g_.gather(last_input_.data(), n, v, col);
   sgemm(false, true, oc, ckk, np, 1.0f, gall, np, col, np, 1.0f,
         w_.grad.data(), ckk);
   // dcol[CKK, N*P] = W[oc, CKK]^T @ G[oc, N*P], scattered back per sample.
   float* dcol = scratch_.get(kSlotDcol, ckk * np);
   sgemm(true, false, ckk, np, oc, 1.0f, w_.value.data(), ckk, gall, np, 0.0f,
         dcol, np);
-  Tensor grad_in(in_shape_);
+  Tensor grad_in(last_input_.shape());
   const std::size_t sample = g_.in_channels * v.d * v.h * v.w;
   pool.parallel_for_chunks(0, n, [&](std::size_t n0, std::size_t n1) {
     for (std::size_t i = n0; i < n1; ++i) {

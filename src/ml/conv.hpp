@@ -5,7 +5,7 @@
 // sample's [C, D, H, W] volume, where D is the frame (time) axis of the
 // "3D" model: Conv3D takes [N, C, D, H, W]. A 2-D conv is the depth-1 case:
 // Conv2D takes [N, C, H, W] and runs the same code with D = kernel_d =
-// stride_d = 1, so there is one forward, one backward and one lowering.
+// stride_d = 1, so there is one forward kernel and one backward.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,7 @@
 namespace autolearn::ml {
 
 /// Everything about a convolution but its weights. A Conv owns one; its
-/// int8 twin (QuantConv) and the compiled plan's conv step copy it.
+/// int8 twin (QuantConv) copies it.
 struct ConvGeometry {
   std::size_t in_channels = 0, out_channels = 0;
   std::size_t kernel_d = 1, kernel = 0;  // depth extent, square spatial side
@@ -56,8 +56,10 @@ struct ConvGeometry {
                const Volumes& v, float* y, bool relu) const;
 };
 
-/// Valid convolution with an [OC, C, (KD,) K, K] kernel, lowered to one
-/// vol2col + GEMM per batch. Conv2D and Conv3D only construct it.
+/// Valid convolution with an [OC, C, (KD,) K, K] kernel. The forward is
+/// one implicit GEMM (conv_implicit_gemm), which writes no patch matrix;
+/// backward gathers the patch matrix from the kept input and runs the two
+/// adjoint GEMMs. Conv2D and Conv3D only construct it.
 class Conv : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) override;
@@ -79,6 +81,15 @@ class Conv : public Layer {
   const Tensor& weights() const { return w_.value; }
   const Tensor& bias() const { return b_.value; }
 
+  /// The one Conv forward kernel: y [n, OC, P] = W @ patches(x) + b, then
+  /// max(0, .) when `relu`, for n samples x [n, C, (D,) H, W] of volume
+  /// `v`, into the caller's y. One conv_implicit_gemm call, so no patch
+  /// matrix is written. forward() and the compiled plan's fp32 conv step
+  /// both run it.
+  void forward_into(const float* x, std::size_t n,
+                    const ConvGeometry::Volumes& v, float* y,
+                    bool relu) const;
+
   /// Plan-compile hook (ml/plan.hpp): sets the per-sample FLOP estimate
   /// from the input geometry without running a forward. The compiled path
   /// never calls forward, but serve pricing reads flops_per_sample.
@@ -94,11 +105,10 @@ class Conv : public Layer {
  private:
   ConvGeometry g_;
   Param w_, b_;
-  // Backward reads the input only through the vol2col scratch (still
-  // valid from the forward pass), so only the shape is retained — no copy.
-  std::vector<std::size_t> in_shape_;
-  // Patch matrix, batched output, gathered gradient and gradient patch
-  // matrix — reused across batches so the hot path never allocates.
+  // The last forward's input: backward gathers its patch matrix from it.
+  Tensor last_input_;
+  // Patch matrix, gathered gradient and gradient patch matrix — reused
+  // across batches so backward's scratch never reallocates.
   ScratchArena scratch_;
   mutable std::uint64_t flops_ = 0;  // set on first forward (needs D, H, W)
 };

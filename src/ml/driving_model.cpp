@@ -384,6 +384,10 @@ class CategoricalModel : public NetModel {
 class InferredModel : public NetModel {
  public:
   explicit InferredModel(const ModelConfig& cfg) : NetModel(cfg) {
+    if (!std::isfinite(cfg.inferred_throttle_base) ||
+        !std::isfinite(cfg.inferred_throttle_gain)) {
+      throw std::invalid_argument("inferred: non-finite throttle policy");
+    }
     // Deliberately small: two convs, narrow head. Fast inference is the
     // point — it frees throttle budget in the control loop.
     net_.add<Conv2D>(1, 4, 3, 2, rng_);
@@ -549,7 +553,7 @@ class RnnModel : public NetModel {
   explicit RnnModel(const ModelConfig& cfg) : NetModel(cfg) {
     add_encoder(net_, rng_);  // shared per-frame encoder (time folded in N)
     features_ = encoder_features(cfg.img_h, cfg.img_w);
-    lstm_ = &head_.add<LSTM>(features_, 32, rng_);
+    head_.add<LSTM>(features_, 32, rng_);
     head_.add<Dense>(32, 2, rng_);
   }
 
@@ -608,7 +612,6 @@ class RnnModel : public NetModel {
   }
 
   Sequential head_;
-  LSTM* lstm_ = nullptr;
   std::size_t features_ = 0;
 };
 
@@ -770,7 +773,8 @@ LoadedModelBundle load_model_bundle(std::istream& is) {
     out.model = make_model(type, cfg);
   } catch (const std::invalid_argument& e) {
     // In-bounds sizes the model still cannot use (a frame smaller than
-    // its kernels, a 3d model with too few frames, a bad dropout).
+    // its kernels, a 3d model with too few frames), and a learning rate,
+    // dropout or inferred throttle policy out of range or not finite.
     throw ModelLoadError(ModelLoadError::Code::BadHeader,
                          std::string("model bundle: config rejected: ") +
                              e.what());

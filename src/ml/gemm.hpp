@@ -1,10 +1,11 @@
 // The matmul backbone of the ml module: a cache-blocked, register-tiled
 // single-precision GEMM; the vol2col/col2vol lowering helpers that turn
 // convolution into matrix multiplication (the standard cuDNN-style im2col
-// lowering, here on CPU, over a depth axis as well), which training and
-// int8 inference use; and the implicit-GEMM convolution the compiled fp32
-// plan runs, which reads its patch elements straight from the input and
-// writes no patch matrix.
+// lowering, here on CPU, over a depth axis as well), which the conv
+// backward and int8 inference use; and the implicit-GEMM convolution, the
+// one fp32 conv forward (training and the compiled plan both run it
+// through Conv::forward_into), which reads its patch elements straight
+// from the input and writes no patch matrix.
 //
 // All matrices are row-major with explicit leading dimensions, so views
 // into larger buffers (e.g. one time-step slice of an [N, T, D] tensor)

@@ -132,7 +132,7 @@ Tensor Flatten::backward(const Tensor& grad_out) {
 }
 
 Dropout::Dropout(double p, util::Rng rng) : p_(p), rng_(rng) {
-  if (p < 0 || p >= 1) throw std::invalid_argument("Dropout: p in [0,1)");
+  if (!(p >= 0 && p < 1)) throw std::invalid_argument("Dropout: p in [0,1)");
 }
 
 Tensor Dropout::forward(const Tensor& x, bool train) {

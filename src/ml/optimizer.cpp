@@ -9,8 +9,10 @@
 namespace autolearn::ml {
 
 SGD::SGD(double lr, double momentum) : lr_(lr), momentum_(momentum) {
-  if (lr <= 0) throw std::invalid_argument("SGD: lr must be > 0");
-  if (momentum < 0 || momentum >= 1) {
+  if (!(lr > 0 && std::isfinite(lr))) {
+    throw std::invalid_argument("SGD: lr must be finite and > 0");
+  }
+  if (!(momentum >= 0 && momentum < 1)) {
     throw std::invalid_argument("SGD: momentum in [0,1)");
   }
 }
@@ -37,7 +39,9 @@ void SGD::step(const std::vector<Param*>& params) {
 
 Adam::Adam(double lr, double beta1, double beta2, double eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  if (lr <= 0) throw std::invalid_argument("Adam: lr must be > 0");
+  if (!(lr > 0 && std::isfinite(lr))) {
+    throw std::invalid_argument("Adam: lr must be finite and > 0");
+  }
 }
 
 void Adam::step(const std::vector<Param*>& params) {

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "ml/conv.hpp"
-#include "ml/gemm.hpp"
 #include "ml/layers.hpp"
 #include "ml/lstm.hpp"
 #include "ml/quant_layers.hpp"
@@ -20,15 +19,13 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 // shared slots never split a cache line between two live buffers.
 constexpr std::size_t kAlignFloats = 16;
 
-float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 /// Bytes stored in a float-typed slot: round rows up to whole floats.
 std::size_t bytes_as_floats(std::size_t bytes) { return ceil_div(bytes, 4); }
 
 enum class Op {
-  Conv,   // fp32 implicit GEMM
+  Conv,
   QuantConv,
   Dense,
   QuantDense,
@@ -43,22 +40,17 @@ struct Step {
   std::size_t scr0 = kNone, scr1 = kNone, scr2 = kNone;
   bool fuse_relu = false;
 
-  // Layers and parameter pointers resolved at compile time (a load drops
-  // the plan, and the next predict recompiles against the loaded
-  // parameters). Dense, QuantDense and QuantConv steps run the layer's own
-  // forward_into kernel.
+  // The layer whose kernel the step runs (forward_into, or the LSTM's
+  // step_into), resolved at compile time; a load drops the plan, and the
+  // next predict recompiles against the loaded model.
+  const Conv* conv = nullptr;
+  const QuantConv* qconv = nullptr;
   const Dense* dense = nullptr;
   const QuantDense* qdense = nullptr;
-  const QuantConv* qconv = nullptr;
-  const float* w = nullptr;   // conv weights; LSTM Wx
-  const float* w2 = nullptr;  // LSTM Wh
-  const float* bias = nullptr;
+  const LSTM* lstm = nullptr;
 
-  // Geometry (per-row / per-sample).
-  ConvGeometry conv{};              // conv
-  ConvGeometry::Volumes vol{};      // conv: input and output volume
-  std::size_t in_f = 0, out_f = 0;  // lstm: D, H
-  std::size_t t_len = 0;            // lstm
+  ConvGeometry::Volumes vol{};  // conv: one sample's in/out volume
+  std::size_t t_len = 0;        // lstm: time steps per row
 };
 
 struct Value {
@@ -139,22 +131,22 @@ void CompiledNet::Impl::compile(Sequential& net,
     if (conv != nullptr || qconv != nullptr) {
       Step s{};
       s.op = conv != nullptr ? Op::Conv : Op::QuantConv;
-      s.conv = conv != nullptr ? conv->geometry() : qconv->geometry();
+      s.conv = conv;
+      s.qconv = qconv;
+      const ConvGeometry& g =
+          conv != nullptr ? conv->geometry() : qconv->geometry();
       std::vector<std::size_t> row_shape = shape;  // [1, C, (D,) H, W]
       row_shape.insert(row_shape.begin(), 1);
       try {
-        s.vol = s.conv.volumes(row_shape);
+        s.vol = g.volumes(row_shape);
       } catch (const std::invalid_argument&) {
         throw bad_shape(layer.name() + " input mismatch");
       }
-      const std::size_t ckk = s.conv.patch_rows(), p = s.vol.positions();
+      const std::size_t ckk = g.patch_rows(), p = s.vol.positions();
       if (conv != nullptr) {
         conv->prime_flops(s.vol);
-        s.w = conv->weights().data();
-        s.bias = conv->bias().data();
       } else {
         qconv->prime_flops(s.vol);
-        s.qconv = qconv;
       }
       s.fuse_relu = fuse_next_relu();
       s.in = cur;
@@ -164,10 +156,10 @@ void CompiledNet::Impl::compile(Sequential& net,
         // GEMM, which needs neither buffer.
         s.scr0 = add_value(ckk * p, si, si);                    // patch matrix
         s.scr1 = add_value(bytes_as_floats(ckk * p), si, si);  // q(col)
-        s.scr2 = add_value(s.conv.out_channels * p, si, si);   // GEMM out
+        s.scr2 = add_value(g.out_channels * p, si, si);        // GEMM out
       }
-      s.out = cur = add_value(s.conv.out_channels * p, si, si);
-      shape = s.conv.out_shape(1, s.vol);
+      s.out = cur = add_value(g.out_channels * p, si, si);
+      shape = g.out_shape(1, s.vol);
       shape.erase(shape.begin());
       steps.push_back(s);
     } else if (auto* dense = dynamic_cast<Dense*>(&layer)) {
@@ -187,24 +179,18 @@ void CompiledNet::Impl::compile(Sequential& net,
       if (shape.size() != 2 || shape[1] != lstm->input_size()) {
         throw bad_shape("lstm input mismatch");
       }
-      const std::size_t t_len = shape[0];
+      const std::size_t t_len = shape[0], hs = lstm->hidden_size();
       lstm->prime_flops(t_len);
       Step s{};
       s.op = Op::Lstm;
+      s.lstm = lstm;
       s.t_len = t_len;
-      s.in_f = lstm->input_size();
-      s.out_f = lstm->hidden_size();
-      const auto params = lstm->params();
-      s.w = params[0]->value.data();   // Wx [4H, D]
-      s.w2 = params[1]->value.data();  // Wh [4H, H]
-      s.bias = params[2]->value.data();
       s.in = cur;
       values[cur].last_use = si;
-      s.scr0 = add_value(s.in_f, si, si);       // x_t slice
-      s.scr1 = add_value(4 * s.out_f, si, si);  // gates
-      s.scr2 = add_value(s.out_f, si, si);      // cell state
-      s.out = cur = add_value(s.out_f, si, si);
-      shape = {s.out_f};
+      s.scr0 = add_value(4 * hs, si, si);  // gates
+      s.scr1 = add_value(hs, si, si);      // cell state
+      s.out = cur = add_value(hs, si, si);
+      shape = {hs};
       steps.push_back(s);
     } else if (auto* qdense = dynamic_cast<QuantDense*>(&layer)) {
       const std::size_t in_f = qdense->in_features();
@@ -327,15 +313,9 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
 
   for (const Step& s : steps) {
     switch (s.op) {
-      case Op::Conv: {
-        const ConvGeometry& g = s.conv;
-        const ConvGeometry::Volumes& v = s.vol;
-        conv_implicit_gemm(src_of(s.in), n, g.in_channels, v.d, v.h, v.w,
-                           g.kernel_d, g.kernel, g.kernel, g.stride_d,
-                           g.stride, g.stride, s.w, g.out_channels, s.bias,
-                           s.fuse_relu, at(s.out));
+      case Op::Conv:
+        s.conv->forward_into(src_of(s.in), n, s.vol, at(s.out), s.fuse_relu);
         break;
-      }
       case Op::QuantConv:
         s.qconv->forward_into(src_of(s.in), n, s.vol, at(s.scr0),
                               bytes_at(s.scr1), at(s.scr2), at(s.out),
@@ -349,40 +329,16 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
                                at(s.out), s.fuse_relu);
         break;
       case Op::Lstm: {
-        const std::size_t d = s.in_f, hs = s.out_f, t_len = s.t_len;
+        // h and c start at zero and each step updates them in place.
+        const std::size_t d = s.lstm->input_size();
         const float* xin = src_of(s.in);  // [n, T*D] == [n, T, D]
-        float* xt = at(s.scr0);
-        float* gates = at(s.scr1);
-        float* c = at(s.scr2);
+        float* gates = at(s.scr0);
+        float* c = at(s.scr1);
         float* h = at(s.out);
-        std::fill(h, h + n * hs, 0.0f);
-        std::fill(c, c + n * hs, 0.0f);
-        for (std::size_t t = 0; t < t_len; ++t) {
-          for (std::size_t i = 0; i < n; ++i) {
-            const float* row = xin + (i * t_len + t) * d;
-            std::memcpy(xt + i * d, row, d * sizeof(float));
-          }
-          for (std::size_t i = 0; i < n; ++i) {
-            float* gi = gates + i * 4 * hs;
-            for (std::size_t r = 0; r < 4 * hs; ++r) gi[r] = s.bias[r];
-          }
-          sgemm(false, true, n, 4 * hs, d, 1.0f, xt, d, s.w, d, 1.0f, gates,
-                4 * hs);
-          // h still holds h_{t-1} here: the GEMM consumes it before the
-          // elementwise update below overwrites it in place.
-          sgemm(false, true, n, 4 * hs, hs, 1.0f, h, hs, s.w2, hs, 1.0f,
-                gates, 4 * hs);
-          for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = 0; j < hs; ++j) {
-              const float gi = sigmoid(gates[i * 4 * hs + j]);
-              const float gf = sigmoid(gates[i * 4 * hs + hs + j]);
-              const float gg = std::tanh(gates[i * 4 * hs + 2 * hs + j]);
-              const float go = sigmoid(gates[i * 4 * hs + 3 * hs + j]);
-              const float cv = gf * c[i * hs + j] + gi * gg;
-              c[i * hs + j] = cv;
-              h[i * hs + j] = go * std::tanh(cv);
-            }
-          }
+        std::fill(h, h + n * values[s.out].row_elems, 0.0f);
+        std::fill(c, c + n * values[s.scr1].row_elems, 0.0f);
+        for (std::size_t t = 0; t < s.t_len; ++t) {
+          s.lstm->step_into(xin + t * d, s.t_len * d, n, h, c, gates, c, h);
         }
         break;
       }

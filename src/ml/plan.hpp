@@ -4,25 +4,25 @@
 // Sequential::forward, which training runs, walks the layers one by one,
 // with every layer allocating its output Tensor (and often scratch) per
 // batch. CompiledNet does that walk ONCE: compile() lowers the layer list
-// into a flat step program (one implicit-GEMM call with a fused bias/ReLU
-// epilogue per fp32 conv, gate GEMMs onto preallocated scratch for the
-// LSTM, and the layer's own forward_into kernel for every Dense,
-// QuantDense and QuantConv, with a following ReLU fused in), runs a
+// into a flat step program (the layer's own forward_into kernel for every
+// Conv, QuantConv, Dense and QuantDense, with a following ReLU fused in,
+// and the LSTM's step_into once per time step over zeroed state), runs a
 // liveness analysis over every intermediate buffer, and first-fit assigns
 // them into ONE float arena sized for a fixed batch cap. Steady-state
 // execution then performs zero heap allocations: staging, GEMMs and
 // epilogues all run inside the arena (or in grow-only per-thread kernel
-// scratch), and the ThreadPool's parallel regions allocate nothing.
+// scratch), and the ThreadPool's parallel regions allocate nothing. The
+// plan keeps no arithmetic of its own beyond the in-place ReLU and Tanh
+// steps a producer could not absorb.
 //
-// Bitwise contract: every output element of a compiled step gets the same
-// arithmetic as in the layer's own forward. Dense, QuantDense and QuantConv
-// steps call the very kernel the layer's forward calls; the fp32 conv and
-// LSTM steps repeat the layer's arithmetic (same operands, same reduction
-// order, the same fused or unfused multiply-adds, same epilogue) through
-// other kernel calls. So outputs are bit-identical to
-// Sequential::forward(x, false) for every batch size up to the cap.
+// Bitwise contract: every step calls its layer's kernel, the one the
+// layer's own forward calls, so outputs are bit-identical to
+// Sequential::forward(x, false) for every batch size up to the cap (a
+// fused ReLU computes t > 0 ? t : 0 on the same t a ReLU layer sees).
 // ctest -L plan holds this as an oracle across the nets of the whole model
-// zoo, fp32 and int8, and across hand-built conv shapes.
+// zoo, fp32 and int8, and across hand-built conv shapes, and holds the
+// Conv and LSTM kernels to a test-side copy of their earlier lowering
+// (tests/layer_reference.hpp), outputs and gradients, bit for bit.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,7 @@
 namespace autolearn::ml {
 namespace {
 
-// ScratchArena slots, mirroring Conv.
+// ScratchArena slots of QuantConv::forward.
 constexpr std::size_t kSlotCol = 0;  // float patch matrix  [CKK, N*P]
 constexpr std::size_t kSlotOut = 1;  // batched GEMM output [OC, N*P]
 

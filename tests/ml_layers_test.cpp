@@ -5,8 +5,11 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <utility>
 
 #include "ml/conv.hpp"
+#include "ml/gemm.hpp"
 #include "ml/layers.hpp"
 #include "ml/lstm.hpp"
 
@@ -194,6 +197,8 @@ TEST(Dropout, BackwardUsesSameMask) {
 TEST(Dropout, RejectsBadP) {
   EXPECT_THROW(Dropout(1.0, util::Rng(1)), std::invalid_argument);
   EXPECT_THROW(Dropout(-0.1, util::Rng(1)), std::invalid_argument);
+  EXPECT_THROW(Dropout(std::numeric_limits<double>::quiet_NaN(), util::Rng(1)),
+               std::invalid_argument);
 }
 
 TEST(Conv2D, OutputShape) {
@@ -283,6 +288,27 @@ TEST(Conv, BackwardBeforeForwardThrows) {
   EXPECT_THROW(c3.backward(Tensor({1, 2, 1, 2, 2})), std::logic_error);
 }
 
+TEST(Conv, ForwardWritesNoPatchMatrix) {
+  // The forward is one implicit GEMM; only backward gathers the patch
+  // matrix, from the input its forward kept.
+  util::Rng rng(19);
+  Conv2D c2(2, 3, 3, 2, rng);
+  Conv3D c3(2, 3, 2, 3, 1, 2, rng);
+  const std::pair<Conv*, Tensor> runs[] = {
+      {&c2, random_tensor({4, 2, 9, 11}, rng)},
+      {&c3, random_tensor({4, 2, 3, 9, 11}, rng)}};
+  for (const auto& [conv, x] : runs) {
+    const std::uint64_t before = kernel_counters().im2col_elems;
+    const Tensor y = conv->forward(x, /*train=*/true);
+    EXPECT_EQ(kernel_counters().im2col_elems, before) << conv->name();
+    conv->backward(random_tensor(y.shape(), rng));
+    const ConvGeometry& g = conv->geometry();
+    EXPECT_EQ(kernel_counters().im2col_elems - before,
+              g.patch_rows() * x.dim(0) * g.volumes(x.shape()).positions())
+        << conv->name();
+  }
+}
+
 TEST(Conv, RejectsZeroParameters) {
   // One constructor checks every channel count, kernel size and stride of
   // both convs.
@@ -318,6 +344,21 @@ TEST(LSTM, HiddenBoundedByTanh) {
   const Tensor h = l.forward(random_tensor({4, 6, 4}, rng, 3.0), false);
   for (std::size_t i = 0; i < h.size(); ++i) {
     EXPECT_LT(std::abs(h[i]), 1.0f);
+  }
+}
+
+TEST(LSTM, BackwardBeforeForwardThrows) {
+  // Backward reads the input and states its forward kept; with none there
+  // is nothing to differentiate. The error says so, not that a
+  // well-shaped gradient has the wrong shape.
+  util::Rng rng(19);
+  LSTM l(4, 3, rng);
+  try {
+    l.backward(Tensor({2, 3}));
+    ADD_FAILURE() << "backward before forward returned";
+  } catch (const std::invalid_argument& e) {
+    ADD_FAILURE() << "a shape error, not a missing forward: " << e.what();
+  } catch (const std::logic_error&) {
   }
 }
 

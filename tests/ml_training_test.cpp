@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -160,6 +161,15 @@ TEST(Optimizers, Validation) {
   EXPECT_THROW(SGD(0.0), std::invalid_argument);
   EXPECT_THROW(SGD(0.1, 1.0), std::invalid_argument);
   EXPECT_THROW(Adam(-1.0), std::invalid_argument);
+  // NaN fails every ordered comparison, so each check must be written to
+  // accept only in-range values; an infinite step is no step either.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(SGD{nan}, std::invalid_argument);
+  EXPECT_THROW(SGD{inf}, std::invalid_argument);
+  EXPECT_THROW(SGD(0.1, nan), std::invalid_argument);
+  EXPECT_THROW(Adam{nan}, std::invalid_argument);
+  EXPECT_THROW(Adam{inf}, std::invalid_argument);
 }
 
 // --- sequential ---------------------------------------------------------------
@@ -604,6 +614,18 @@ TEST(ModelBundle, ForgedConfigIsATypedError) {
   add("2^40 throttle bins", ModelType::Categorical,
       [](ModelConfig& c) { c.throttle_bins = std::size_t{1} << 40; });
   add("dropout 1", ModelType::Linear, [](ModelConfig& c) { c.dropout = 1.0; });
+  // A non-finite lr, dropout or throttle policy makes the model predict
+  // NaN after one train_batch (an infinite gain once |steer| = 1).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  add("lr NaN", ModelType::Rnn, [&](ModelConfig& c) { c.lr = nan; });
+  add("lr inf", ModelType::Linear, [&](ModelConfig& c) { c.lr = inf; });
+  add("dropout NaN", ModelType::Linear,
+      [&](ModelConfig& c) { c.dropout = nan; });
+  add("inferred throttle base NaN", ModelType::Inferred,
+      [&](ModelConfig& c) { c.inferred_throttle_base = nan; });
+  add("inferred throttle gain inf", ModelType::Inferred,
+      [&](ModelConfig& c) { c.inferred_throttle_gain = inf; });
 
   for (const Case& c : cases) {
     std::istringstream is(bundle_with_header(c.type, c.header));
