@@ -14,6 +14,11 @@ const char* to_string(Placement p) {
   return "?";
 }
 
+gpu::Precision pricing_precision(const ml::DrivingModel& model) {
+  return model.precision() == ml::Precision::Int8 ? gpu::Precision::Int8
+                                                  : gpu::Precision::Fp32;
+}
+
 double placement_latency_s(Placement placement, const ContinuumOptions& opt,
                            std::uint64_t edge_model_flops,
                            std::uint64_t cloud_model_flops) {
@@ -117,14 +122,15 @@ vehicle::DriveCommand HybridPilot::act(const camera::Image& frame) {
         awaiting_recovery_ = true;  // half-open probe re-closed the breaker
       }
       const vehicle::DriveCommand cloud_cmd = cloud_.act(frame);
-      // Batch-of-1 through the batched perf model: the same accounting the
-      // fleet serving tier uses for its dynamic batches.
+      // Batch-of-1 through the batched perf model at the model's own
+      // precision: the same accounting the fleet serving tier uses for its
+      // dynamic batches.
       const double cloud_infer = gpu::inference_latency_s(
           gpu::device(options_.cloud_device),
           static_cast<std::uint64_t>(
               static_cast<double>(cloud_model_.flops_per_sample()) *
               options_.flops_scale),
-          /*batch=*/1);
+          /*batch=*/1, pricing_precision(cloud_model_));
       double delay = options_.network_rtt_s + cloud_infer;
       if (options_.rtt_jitter_s > 0) {
         delay = std::max(0.0, rng_.normal(delay, options_.rtt_jitter_s));
@@ -174,15 +180,16 @@ eval::EvalResult evaluate_placement(const track::Track& track,
                                       options.flops_scale);
   };
   // The evaluator derives the compute part of the command latency through
-  // the batched perf model at infer_batch = 1 (bitwise-equal to the legacy
-  // precomputed placement_latency_s); command_latency_s carries only the
-  // network part.
+  // the batched perf model at batch 1, at the placed model's precision
+  // (for fp32 models bitwise-equal to placement_latency_s);
+  // command_latency_s carries only the network part.
   const std::uint64_t main_flops = main_model.flops_per_sample();
   const std::uint64_t edge_flops = edge_fallback.flops_per_sample();
   switch (placement) {
     case Placement::OnDevice: {
       opts.infer_device = &gpu::device(options.edge_device);
       opts.infer_flops = scaled(edge_flops);
+      opts.infer_precision = pricing_precision(edge_fallback);
       eval::ModelPilot pilot(edge_fallback);
       return eval::run_evaluation(track, pilot, opts);
     }
@@ -190,6 +197,7 @@ eval::EvalResult evaluate_placement(const track::Track& track,
       opts.command_latency_s = options.network_rtt_s;
       opts.infer_device = &gpu::device(options.cloud_device);
       opts.infer_flops = scaled(main_flops);
+      opts.infer_precision = pricing_precision(main_model);
       opts.latency_jitter_s = options.rtt_jitter_s;
       eval::ModelPilot pilot(main_model);
       return eval::run_evaluation(track, pilot, opts);
@@ -199,6 +207,7 @@ eval::EvalResult evaluate_placement(const track::Track& track,
       // the cloud command's extra delay flows through the pilot's pipe.
       opts.infer_device = &gpu::device(options.edge_device);
       opts.infer_flops = scaled(edge_flops);
+      opts.infer_precision = pricing_precision(edge_fallback);
       HybridPilot pilot(edge_fallback, main_model, options,
                         util::Rng(eval_options.seed + 17));
       eval::EvalResult result = eval::run_evaluation(track, pilot, opts);

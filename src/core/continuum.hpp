@@ -66,7 +66,14 @@ struct ContinuumOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// End-to-end command latency for a placement (excluding jitter).
+/// The precision a model's latency is priced at: its own forward path's,
+/// so an int8 variant is billed at the device's int8 throughput. Placement
+/// eval, the hybrid pilot's cloud leg and the serving tiers all price
+/// through this one mapping.
+gpu::Precision pricing_precision(const ml::DrivingModel& model);
+
+/// End-to-end command latency for a placement (excluding jitter), for
+/// fp32 models of the given FLOPs.
 double placement_latency_s(Placement placement, const ContinuumOptions& opt,
                            std::uint64_t edge_model_flops,
                            std::uint64_t cloud_model_flops);

@@ -50,7 +50,7 @@ EvalResult run_evaluation(const track::Track& track, Pilot& pilot,
   double fixed_latency_s = options.command_latency_s;
   if (options.infer_device) {
     fixed_latency_s += gpu::inference_latency_s(
-        *options.infer_device, options.infer_flops, options.infer_batch,
+        *options.infer_device, options.infer_flops, /*batch=*/1,
         options.infer_precision);
   }
 

@@ -34,18 +34,17 @@ struct EvalOptions {
   bool real_profiles = false;    // real-car noise on vehicle and camera
   double command_latency_s = 0.0;    // fixed part (network / externally given)
   double latency_jitter_s = 0.0;     // gaussian stddev per command (network)
-  /// Batched perf-model latency accounting. When infer_device is set the
+  /// Perf-model latency accounting. When infer_device is set the
   /// per-command latency is command_latency_s (the network part) plus
-  /// gpu::inference_latency_s(*infer_device, infer_flops, infer_batch) —
-  /// the same batched path the fleet serving tier prices batches with, so
-  /// single-car eval (infer_batch = 1) and serving agree bitwise on the
-  /// batch-of-1 cost. Unset: command_latency_s is taken literally.
+  /// gpu::inference_latency_s(*infer_device, infer_flops, 1,
+  /// infer_precision) — the batched path the fleet serving tier prices
+  /// its batches with, so single-car eval and serving agree bitwise on
+  /// the batch-of-1 cost. Unset: command_latency_s is taken literally.
   const gpu::DeviceSpec* infer_device = nullptr;
   std::uint64_t infer_flops = 0;
-  std::size_t infer_batch = 1;
   /// Precision the priced model runs at: Int8 engages the device's
-  /// integer-path speedup (cloud-fp32 vs edge-int8 sweeps set this from
-  /// ml::DrivingModel::precision()).
+  /// integer-path speedup. core::evaluate_placement sets it from the
+  /// placed model (core::pricing_precision).
   gpu::Precision infer_precision = gpu::Precision::Fp32;
   double off_track_grace = 0.10;     // meters beyond the lane edge tolerated
   std::uint64_t seed = 5;

@@ -34,7 +34,7 @@ struct FaultSpec {
   double at = 0.0;        // injection time (virtual seconds)
   double duration = 0.0;  // recovery is scheduled at at+duration; 0 = never
   std::string target;     // host / device / lease node type
-  std::string peer;       // second endpoint for link faults
+  std::string peer{};     // second endpoint for link faults
   // Link degradation knobs (LinkDegrade; TransferFlap forces loss to 1).
   double latency_mult = 1.0;
   double loss_add = 0.0;

@@ -52,42 +52,17 @@ namespace {
 /// steering_mae and the fleet benches use.
 constexpr std::size_t kDefaultPlanCap = 32;
 
-/// Copies the last `t` frames of `s`, oldest first, to `dst` as t
-/// contiguous H*W planes. In a batch, sample i's frame j lands at
-/// (i*t + j)*h*w, which is the layout of every zoo input: the 2-D
-/// [N, 1, H, W] (t = 1), the rnn's time-folded [N*T, 1, H, W] and the 3d
-/// stack [N, 1, T, H, W]. So this one checked stager fills both the
-/// training tensors and the plan arena.
-void stage_sample(const Sample& s, std::size_t t, std::size_t img_h,
-                  std::size_t img_w, float* dst) {
-  if (s.frames.size() < t) {
-    throw std::invalid_argument("sample: too few frames");
-  }
-  for (std::size_t j = 0; j < t; ++j) {
-    const camera::Image& img = s.frames[s.frames.size() - t + j];
-    if (img.height() != img_h || img.width() != img_w) {
-      throw std::invalid_argument("sample: frame size mismatch");
-    }
-    std::copy(img.pixels().begin(), img.pixels().end(),
-              dst + j * img_h * img_w);
-  }
+std::size_t elems(const std::vector<std::size_t>& shape) {
+  std::size_t e = 1;
+  for (std::size_t d : shape) e *= d;
+  return e;
 }
 
-/// Standard [steering, throttle] regression decode.
-void decode_regression(const float* y, std::size_t n, Prediction* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = Prediction{std::clamp<double>(y[i * 2 + 0], -1, 1),
-                        std::clamp<double>(y[i * 2 + 1], 0, 1)};
-  }
-}
-
-Tensor targets_tensor(const std::vector<const Sample*>& batch) {
-  Tensor y({batch.size(), 2});
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    y.at(i, 0) = batch[i]->steering;
-    y.at(i, 1) = batch[i]->throttle;
-  }
-  return y;
+/// `shape` behind a leading batch dimension of `rows`.
+std::vector<std::size_t> batched(std::size_t rows,
+                                 std::vector<std::size_t> shape) {
+  shape.insert(shape.begin(), rows);
+  return shape;
 }
 
 /// Standard conv encoder for 24x32-class frames: three strided 3x3 convs.
@@ -123,13 +98,14 @@ double from_bin(std::size_t bin, double lo, double hi, std::size_t bins) {
 
 // ---------------------------------------------------------------------------
 
-/// Shared plumbing: a Sequential net + Adam, (de)serialization, and the one
-/// inference path — a compiled plan every predict runs through.
+/// The one implementation of every zoo model. An encoder net_ (the whole
+/// net when head_ stays empty) and, for memory and rnn, a head_ fed by
+/// join(); one training step behind train_batch and eval_batch, one plan
+/// run behind predict_batch, and (de)serialization over nets(). A type's
+/// constructor builds the layers and sets the four geometry members;
+/// categorical and inferred also replace loss() and decode().
 class NetModel : public DrivingModel {
  public:
-  explicit NetModel(const ModelConfig& cfg)
-      : cfg_(cfg), rng_(cfg.seed), opt_(cfg.lr) {}
-
   /// Single-sample inference is the batched path at n = 1, so predict and
   /// predict_batch can never drift apart.
   Prediction predict(const Sample& obs) final {
@@ -153,31 +129,39 @@ class NetModel : public DrivingModel {
     }
   }
 
-  std::size_t num_parameters() override {
+  double train_batch(const std::vector<const Sample*>& batch) final {
+    return step(batch, /*train=*/true);
+  }
+  double eval_batch(const std::vector<const Sample*>& batch) final {
+    return step(batch, /*train=*/false);
+  }
+
+  std::size_t num_parameters() final {
     std::size_t n = 0;
     for (Sequential* s : nets()) n += s->num_parameters();
     return n;
   }
-  std::uint64_t flops_per_sample() const override {
-    return net_.flops_per_sample();
+  /// rows_ encoder passes and one head pass per sample.
+  std::uint64_t flops_per_sample() const final {
+    return rows_ * net_.flops_per_sample() + head_.flops_per_sample();
   }
-  std::vector<Sequential*> mutable_nets() override { return nets(); }
-  void save(std::ostream& os) override {
+  std::vector<Sequential*> mutable_nets() final { return nets(); }
+  void save(std::ostream& os) final {
     for (Sequential* s : nets()) s->save_params(os);
   }
   /// Loads drop the plan (it holds raw parameter pointers); the next
   /// predict recompiles it at the same cap.
-  void load(std::istream& is) override {
+  void load(std::istream& is) final {
     for (Sequential* s : nets()) s->load_params(is);
     plan_.reset();
   }
-  void save_full(std::ostream& os) override {
+  void save_full(std::ostream& os) final {
     for (Sequential* s : nets()) s->save_params(os);
     for (Sequential* s : nets()) s->save_state(os);
     opt_.save_state(os);
     util::write_rng_state(os, rng_.state());
   }
-  void load_full(std::istream& is) override {
+  void load_full(std::istream& is) final {
     std::vector<Param*> params;
     for (Sequential* s : nets()) {
       s->load_params(is);
@@ -190,15 +174,18 @@ class NetModel : public DrivingModel {
     plan_.reset();
   }
 
-  /// Compiles every net through the model's build_plan hook and keeps the
-  /// cap for later recompiles. Idempotent for an unchanged cap —
-  /// replicated registries publish one shared model to many replicas and
-  /// must not recompile per replica.
+  /// Compiles the encoder at max_batch * rows_ rows and the head at
+  /// max_batch, and keeps the cap for later recompiles. Idempotent for an
+  /// unchanged cap — replicated registries publish one shared model to
+  /// many replicas and must not recompile per replica.
   bool attach_plan(std::size_t max_batch) final {
     if (plan_ && plan_->max_batch() == max_batch) return true;
     plan_.reset();
     auto plan = std::make_unique<CompiledModel>(max_batch);
-    build_plan(*plan, max_batch);
+    enc_plan_ = &plan->add_net(net_, in_shape_, max_batch * rows_);
+    head_plan_ = has_head()
+                     ? &plan->add_net(head_, head_shape_, max_batch)
+                     : nullptr;
     plan_ = std::move(plan);
     plan_cap_ = max_batch;
     return true;
@@ -207,55 +194,152 @@ class NetModel : public DrivingModel {
   CompiledModel* plan() final { return plan_.get(); }
 
  protected:
-  /// Adds this model's nets to the plan (and sizes any decode scratch).
-  /// The CompiledNet pointers the model keeps from add_net stay valid for
-  /// the plan's lifetime; run_plan only runs while the plan is attached.
-  virtual void build_plan(CompiledModel& plan, std::size_t max_batch) = 0;
+  explicit NetModel(const ModelConfig& cfg)
+      : cfg_(cfg),
+        rng_(cfg.seed),
+        opt_(cfg.lr),
+        in_shape_{1, cfg.img_h, cfg.img_w} {}
 
-  /// One chunk of n <= cap rows: stage obs into the plan inputs, run the
-  /// plan and decode into out[0..n).
-  virtual void run_plan(const Sample* obs, std::size_t n,
-                        Prediction* out) = 0;
-
-  /// Stages obs[0..n) — each sample's last seq_len() frames — into a plan
-  /// input slot.
-  void stage_batch(const Sample* obs, std::size_t n, float* x) const {
-    const std::size_t t = seq_len();
-    for (std::size_t i = 0; i < n; ++i) {
-      stage_sample(obs[i], t, cfg_.img_h, cfg_.img_w,
-                   x + i * t * cfg_.img_h * cfg_.img_w);
-    }
-  }
-
-  /// Training input: the same staging into a fresh tensor of `shape`.
-  Tensor frames_tensor(const std::vector<const Sample*>& batch,
-                       std::vector<std::size_t> shape) const {
-    Tensor x(std::move(shape));
-    const std::size_t t = seq_len();
+  /// Batch loss of the net's output `y` against the batch's labels, and
+  /// its gradient w.r.t. `y`. Default: MSE on [steering, throttle].
+  virtual std::pair<double, Tensor> loss(
+      const Tensor& y, const std::vector<const Sample*>& batch) {
+    Tensor target({batch.size(), 2});
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      stage_sample(*batch[i], t, cfg_.img_h, cfg_.img_w,
-                   x.data() + i * t * cfg_.img_h * cfg_.img_w);
+      target.at(i, 0) = batch[i]->steering;
+      target.at(i, 1) = batch[i]->throttle;
     }
-    return x;
-  }
-  /// [N*T, 1, H, W]: the 2-D models' input (T = 1) and the rnn's.
-  Tensor frames_tensor(const std::vector<const Sample*>& batch) const {
-    return frames_tensor(
-        batch, {batch.size() * seq_len(), 1, cfg_.img_h, cfg_.img_w});
+    return mse_loss(y, target);
   }
 
-  /// Every Sequential the model owns, in parameter order. The memory/rnn
-  /// models add their head here, which hoists all (de)serialization and
-  /// parameter counting into NetModel.
-  virtual std::vector<Sequential*> nets() { return {&net_}; }
+  /// Output rows y[0..n) of a plan run into predictions. Default: the
+  /// [steering, throttle] regression, clamped to its range.
+  virtual void decode(const float* y, std::size_t n, Prediction* out) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = Prediction{std::clamp<double>(y[i * 2 + 0], -1, 1),
+                          std::clamp<double>(y[i * 2 + 1], 0, 1)};
+    }
+  }
 
   ModelConfig cfg_;
   util::Rng rng_;
   Sequential net_;
+  Sequential head_;
   Adam opt_;
 
+  // Geometry, set by each type's constructor.
+  std::vector<std::size_t> in_shape_;    // one encoder row
+  std::size_t rows_ = 1;                 // encoder rows per sample
+  std::vector<std::size_t> head_shape_;  // one head row
+  std::size_t hist_ = 0;                 // history values ending a head row
+
  private:
+  bool has_head() const { return head_.num_layers() != 0; }
+
+  /// Every Sequential the model owns, in parameter order.
+  std::vector<Sequential*> nets() {
+    if (!has_head()) return {&net_};
+    return {&net_, &head_};
+  }
+
+  /// Copies each sample's last T = seq_len() frames, oldest first, into
+  /// x = [n * rows_, in_shape_] as contiguous H*W planes: frame j of
+  /// sample i lands at (i*T + j)*H*W, the layout of the 2-D [N, 1, H, W],
+  /// the rnn's time-folded [N*T, 1, H, W] and the 3d stack
+  /// [N, 1, T, H, W] alike. Fills training's input tensor and the plan's
+  /// encoder input slot.
+  template <typename At>
+  void stage(At sample, std::size_t n, float* x) const {
+    const std::size_t t = seq_len(), plane = cfg_.img_h * cfg_.img_w;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<camera::Image>& frames = sample(i).frames;
+      if (frames.size() < t) {
+        throw std::invalid_argument("sample: too few frames");
+      }
+      for (std::size_t j = 0; j < t; ++j) {
+        const camera::Image& img = frames[frames.size() - t + j];
+        if (img.height() != cfg_.img_h || img.width() != cfg_.img_w) {
+          throw std::invalid_argument("sample: frame size mismatch");
+        }
+        std::copy(img.pixels().begin(), img.pixels().end(),
+                  x + (i * t + j) * plane);
+      }
+    }
+  }
+
+  /// Writes one head row per sample into h: the sample's rows_ encoder
+  /// rows from `feats`, then the last hist_ values of its history.
+  template <typename At>
+  void join(const float* feats, At sample, std::size_t n, float* h) const {
+    const std::size_t row = elems(head_shape_), feat = row - hist_;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<float>& hist = sample(i).history;
+      if (hist.size() < hist_) {
+        throw std::invalid_argument("memory model: history too short");
+      }
+      std::copy(feats + i * feat, feats + (i + 1) * feat, h + i * row);
+      std::copy(hist.end() - static_cast<std::ptrdiff_t>(hist_), hist.end(),
+                h + i * row + feat);
+    }
+  }
+
+  /// The one training and validation step: stage, encoder, join, head,
+  /// loss; when training, back through the head (the history columns
+  /// have no upstream parameters, so each row's feature columns alone
+  /// flow into the encoder) and the encoder, then one Adam step over
+  /// every net's parameters in order.
+  double step(const std::vector<const Sample*>& batch, bool train) {
+    const std::size_t n = batch.size();
+    const auto sample = [&](std::size_t i) -> const Sample& {
+      return *batch[i];
+    };
+    Tensor x(batched(n * rows_, in_shape_));
+    stage(sample, n, x.data());
+    Tensor y = net_.forward(x, train);
+    if (has_head()) {
+      Tensor h(batched(n, head_shape_));
+      join(y.data(), sample, n, h.data());
+      y = head_.forward(h, train);
+    }
+    auto [l, grad] = loss(y, batch);
+    if (!train) return l;
+    if (has_head()) {
+      const Tensor gh = head_.backward(grad);
+      const std::size_t row = elems(head_shape_), feat = row - hist_;
+      grad = Tensor({n * rows_, feat / rows_});
+      for (std::size_t i = 0; i < n; ++i) {
+        std::copy(gh.data() + i * row, gh.data() + i * row + feat,
+                  grad.data() + i * feat);
+      }
+    }
+    net_.backward(grad);
+    std::vector<Param*> params;
+    for (Sequential* s : nets()) {
+      for (Param* p : s->params()) params.push_back(p);
+    }
+    opt_.step(params);
+    return l;
+  }
+
+  /// One chunk of n <= cap rows: stage obs into the encoder's input slot,
+  /// run it, join into the head's input slot, run that, and decode.
+  void run_plan(const Sample* obs, std::size_t n, Prediction* out) {
+    const auto sample = [obs](std::size_t i) -> const Sample& {
+      return obs[i];
+    };
+    stage(sample, n, enc_plan_->input());
+    const float* y = enc_plan_->run(n * rows_);
+    if (head_plan_ != nullptr) {
+      join(y, sample, n, head_plan_->input());
+      y = head_plan_->run(n);
+    }
+    decode(y, n, out);
+  }
+
   std::unique_ptr<CompiledModel> plan_;
+  // The plan's nets; valid while plan_ is attached.
+  CompiledNet* enc_plan_ = nullptr;
+  CompiledNet* head_plan_ = nullptr;
   std::size_t plan_cap_ = kDefaultPlanCap;
 };
 
@@ -273,33 +357,6 @@ class LinearModel : public NetModel {
   }
 
   ModelType type() const override { return ModelType::Linear; }
-
-  double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch);
-    const Tensor pred = net_.forward(x, /*train=*/true);
-    auto [loss, grad] = mse_loss(pred, targets_tensor(batch));
-    net_.backward(grad);
-    opt_.step(net_.params());
-    return loss;
-  }
-
-  double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch);
-    const Tensor pred = net_.forward(x, /*train=*/false);
-    return mse_loss(pred, targets_tensor(batch)).first;
-  }
-
- protected:
-  void build_plan(CompiledModel& plan, std::size_t max_batch) override {
-    net_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
-  }
-  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
-    stage_batch(obs, n, net_plan_->input());
-    decode_regression(net_plan_->run(n), n, out);
-  }
-
- private:
-  CompiledNet* net_plan_ = nullptr;
 };
 
 // --- categorical -------------------------------------------------------------
@@ -307,42 +364,44 @@ class LinearModel : public NetModel {
 class CategoricalModel : public NetModel {
  public:
   explicit CategoricalModel(const ModelConfig& cfg) : NetModel(cfg) {
+    if (cfg.steering_bins < 2 || cfg.throttle_bins < 2) {
+      throw std::invalid_argument(
+          "categorical model: steering_bins and throttle_bins must be >= 2");
+    }
     add_encoder(net_, rng_);
     const std::size_t f = encoder_features(cfg.img_h, cfg.img_w);
     net_.add<Dense>(f, 64, rng_);
     net_.add<ReLU>();
     net_.add<Dropout>(cfg.dropout, rng_.split());
     net_.add<Dense>(64, cfg.steering_bins + cfg.throttle_bins, rng_);
+    ps_.assign(cfg.steering_bins, 0.0f);
+    pt_.assign(cfg.throttle_bins, 0.0f);
   }
 
   ModelType type() const override { return ModelType::Categorical; }
 
-  double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch);
-    const Tensor logits = net_.forward(x, /*train=*/true);
-    Tensor grad(logits.shape());
-    const double loss = heads_loss(logits, batch, grad);
-    net_.backward(grad);
-    opt_.step(net_.params());
-    return loss;
-  }
-
-  double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch);
-    const Tensor logits = net_.forward(x, /*train=*/false);
-    Tensor grad(logits.shape());
-    return heads_loss(logits, batch, grad);
-  }
-
  protected:
-  void build_plan(CompiledModel& plan, std::size_t max_batch) override {
-    net_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
-    ps_.assign(cfg_.steering_bins, 0.0f);
-    pt_.assign(cfg_.throttle_bins, 0.0f);
+  /// Softmax cross-entropy per head over one shared logits row.
+  std::pair<double, Tensor> loss(
+      const Tensor& logits, const std::vector<const Sample*>& batch) override {
+    std::vector<std::size_t> steer_targets, throttle_targets;
+    steer_targets.reserve(batch.size());
+    throttle_targets.reserve(batch.size());
+    for (const Sample* s : batch) {
+      steer_targets.push_back(to_bin(s->steering, -1, 1, cfg_.steering_bins));
+      throttle_targets.push_back(to_bin(s->throttle, 0, 1, cfg_.throttle_bins));
+    }
+    Tensor grad(logits.shape());
+    double total = softmax_xent_slice(logits, 0, cfg_.steering_bins,
+                                      steer_targets, grad);
+    total += softmax_xent_slice(logits, cfg_.steering_bins,
+                                cfg_.steering_bins + cfg_.throttle_bins,
+                                throttle_targets, grad);
+    return {total, std::move(grad)};
   }
-  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
-    stage_batch(obs, n, net_plan_->input());
-    const float* logits = net_plan_->run(n);
+
+  /// Each head's most probable bin, unbinned.
+  void decode(const float* logits, std::size_t n, Prediction* out) override {
     const std::size_t stride = cfg_.steering_bins + cfg_.throttle_bins;
     for (std::size_t i = 0; i < n; ++i) {
       const float* row = logits + i * stride;
@@ -358,25 +417,7 @@ class CategoricalModel : public NetModel {
   }
 
  private:
-  CompiledNet* net_plan_ = nullptr;
   std::vector<float> ps_, pt_;  // per-head softmax scratch
-
-  double heads_loss(const Tensor& logits,
-                    const std::vector<const Sample*>& batch, Tensor& grad) {
-    std::vector<std::size_t> steer_targets, throttle_targets;
-    steer_targets.reserve(batch.size());
-    throttle_targets.reserve(batch.size());
-    for (const Sample* s : batch) {
-      steer_targets.push_back(to_bin(s->steering, -1, 1, cfg_.steering_bins));
-      throttle_targets.push_back(to_bin(s->throttle, 0, 1, cfg_.throttle_bins));
-    }
-    double loss = softmax_xent_slice(logits, 0, cfg_.steering_bins,
-                                     steer_targets, grad);
-    loss += softmax_xent_slice(logits, cfg_.steering_bins,
-                               cfg_.steering_bins + cfg_.throttle_bins,
-                               throttle_targets, grad);
-    return loss;
-  }
 };
 
 // --- inferred ----------------------------------------------------------------
@@ -404,51 +445,28 @@ class InferredModel : public NetModel {
 
   ModelType type() const override { return ModelType::Inferred; }
 
-  double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch);
-    const Tensor pred = net_.forward(x, /*train=*/true);
-    auto [loss, grad] = mse_loss(pred, steer_targets(batch));
-    net_.backward(grad);
-    opt_.step(net_.params());
-    return loss;
-  }
-
-  double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor x = frames_tensor(batch);
-    const Tensor pred = net_.forward(x, /*train=*/false);
-    return mse_loss(pred, steer_targets(batch)).first;
-  }
-
  protected:
-  void build_plan(CompiledModel& plan, std::size_t max_batch) override {
-    net_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
-  }
-  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
-    stage_batch(obs, n, net_plan_->input());
-    const float* y = net_plan_->run(n);  // one steering column
-    for (std::size_t i = 0; i < n; ++i) out[i] = decode_steer(y[i]);
-  }
-
- private:
-  CompiledNet* net_plan_ = nullptr;
-
-  Prediction decode_steer(float raw) const {
-    const double steer = std::clamp<double>(raw, -1, 1);
-    // Throttle policy: full speed with the wheel straight, easing off as
-    // the commanded steering grows.
-    const double throttle = std::clamp(
-        cfg_.inferred_throttle_base +
-            cfg_.inferred_throttle_gain * (1.0 - std::abs(steer)),
-        0.0, 1.0);
-    return Prediction{steer, throttle};
-  }
-
-  static Tensor steer_targets(const std::vector<const Sample*>& batch) {
-    Tensor y({batch.size(), 1});
+  /// MSE on the steering column alone.
+  std::pair<double, Tensor> loss(
+      const Tensor& y, const std::vector<const Sample*>& batch) override {
+    Tensor target({batch.size(), 1});
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      y.at(i, 0) = batch[i]->steering;
+      target.at(i, 0) = batch[i]->steering;
     }
-    return y;
+    return mse_loss(y, target);
+  }
+
+  /// Throttle policy: full speed with the wheel straight, easing off as
+  /// the commanded steering grows.
+  void decode(const float* y, std::size_t n, Prediction* out) override {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double steer = std::clamp<double>(y[i], -1, 1);
+      const double throttle = std::clamp(
+          cfg_.inferred_throttle_base +
+              cfg_.inferred_throttle_gain * (1.0 - std::abs(steer)),
+          0.0, 1.0);
+      out[i] = Prediction{steer, throttle};
+    }
   }
 };
 
@@ -457,93 +475,17 @@ class InferredModel : public NetModel {
 class MemoryModel : public NetModel {
  public:
   explicit MemoryModel(const ModelConfig& cfg) : NetModel(cfg) {
-    add_encoder(net_, rng_);  // net_ is the encoder only
-    features_ = encoder_features(cfg.img_h, cfg.img_w);
+    add_encoder(net_, rng_);
+    const std::size_t f = encoder_features(cfg.img_h, cfg.img_w);
     hist_ = 2 * cfg.history_len;
-    head_.add<Dense>(features_ + hist_, 64, rng_);
+    head_shape_ = {f + hist_};
+    head_.add<Dense>(f + hist_, 64, rng_);
     head_.add<ReLU>();
     head_.add<Dense>(64, 2, rng_);
   }
 
   ModelType type() const override { return ModelType::Memory; }
   std::size_t history_len() const override { return cfg_.history_len; }
-
-  double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor pred = forward(batch, /*train=*/true);
-    auto [loss, grad] = mse_loss(pred, targets_tensor(batch));
-    const Tensor grad_concat = head_.backward(grad);
-    // Split: the first `features_` columns flow back into the encoder; the
-    // history columns have no upstream parameters.
-    const std::size_t n = batch.size();
-    Tensor grad_feat({n, features_});
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t k = 0; k < features_; ++k) {
-        grad_feat.at(i, k) = grad_concat.at(i, k);
-      }
-    }
-    net_.backward(grad_feat);
-    auto params = net_.params();
-    for (Param* p : head_.params()) params.push_back(p);
-    opt_.step(params);
-    return loss;
-  }
-
-  double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor pred = forward(batch, /*train=*/false);
-    return mse_loss(pred, targets_tensor(batch)).first;
-  }
-
-  std::uint64_t flops_per_sample() const override {
-    return net_.flops_per_sample() + head_.flops_per_sample();
-  }
-
- protected:
-  std::vector<Sequential*> nets() override { return {&net_, &head_}; }
-
-  void build_plan(CompiledModel& plan, std::size_t max_batch) override {
-    enc_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w}, max_batch);
-    head_plan_ = &plan.add_net(head_, {features_ + hist_}, max_batch);
-  }
-  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
-    stage_batch(obs, n, enc_plan_->input());
-    const float* feats = enc_plan_->run(n);
-    float* concat = head_plan_->input();
-    for (std::size_t i = 0; i < n; ++i) {
-      concat_row(feats + i * features_, obs[i],
-                 concat + i * (features_ + hist_));
-    }
-    decode_regression(head_plan_->run(n), n, out);
-  }
-
- private:
-  CompiledNet* enc_plan_ = nullptr;
-  CompiledNet* head_plan_ = nullptr;
-
-  /// One head input row: the encoder features, then the sample's last
-  /// history_len command pairs.
-  void concat_row(const float* feats, const Sample& s, float* row) const {
-    if (s.history.size() < hist_) {
-      throw std::invalid_argument("memory model: history too short");
-    }
-    std::copy(feats, feats + features_, row);
-    std::copy(s.history.end() - static_cast<std::ptrdiff_t>(hist_),
-              s.history.end(), row + features_);
-  }
-
-  Tensor forward(const std::vector<const Sample*>& batch, bool train) {
-    const Tensor feats = net_.forward(frames_tensor(batch), train);
-    const std::size_t n = batch.size();
-    Tensor concat({n, features_ + hist_});
-    for (std::size_t i = 0; i < n; ++i) {
-      concat_row(feats.data() + i * features_, *batch[i],
-                 concat.data() + i * (features_ + hist_));
-    }
-    return head_.forward(concat, train);
-  }
-
-  Sequential head_;
-  std::size_t features_ = 0;
-  std::size_t hist_ = 0;
 };
 
 // --- rnn ---------------------------------------------------------------------
@@ -551,68 +493,21 @@ class MemoryModel : public NetModel {
 class RnnModel : public NetModel {
  public:
   explicit RnnModel(const ModelConfig& cfg) : NetModel(cfg) {
-    add_encoder(net_, rng_);  // shared per-frame encoder (time folded in N)
-    features_ = encoder_features(cfg.img_h, cfg.img_w);
-    head_.add<LSTM>(features_, 32, rng_);
+    if (cfg.seq_len == 0) {
+      throw std::invalid_argument("rnn model: seq_len must be >= 1");
+    }
+    // One shared encoder per frame, time folded into its batch axis; the
+    // LSTM head reads each sample's seq_len encoder rows as [T, F].
+    add_encoder(net_, rng_);
+    const std::size_t f = encoder_features(cfg.img_h, cfg.img_w);
+    rows_ = cfg.seq_len;
+    head_shape_ = {cfg.seq_len, f};
+    head_.add<LSTM>(f, 32, rng_);
     head_.add<Dense>(32, 2, rng_);
   }
 
   ModelType type() const override { return ModelType::Rnn; }
   std::size_t seq_len() const override { return cfg_.seq_len; }
-
-  double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor pred = forward(batch, /*train=*/true);
-    auto [loss, grad] = mse_loss(pred, targets_tensor(batch));
-    const Tensor grad_seq = head_.backward(grad);  // [N, T, F]
-    net_.backward(grad_seq.reshaped(
-        {batch.size() * cfg_.seq_len, features_}));
-    auto params = net_.params();
-    for (Param* p : head_.params()) params.push_back(p);
-    opt_.step(params);
-    return loss;
-  }
-
-  double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor pred = forward(batch, /*train=*/false);
-    return mse_loss(pred, targets_tensor(batch)).first;
-  }
-
-  std::uint64_t flops_per_sample() const override {
-    return cfg_.seq_len * net_.flops_per_sample() + head_.flops_per_sample();
-  }
-
- protected:
-  std::vector<Sequential*> nets() override { return {&net_, &head_}; }
-
-  void build_plan(CompiledModel& plan, std::size_t max_batch) override {
-    // Time is folded into the encoder's batch axis, so its row cap is
-    // max_batch * seq_len; the LSTM head runs at max_batch rows.
-    enc_plan_ = &plan.add_net(net_, {1, cfg_.img_h, cfg_.img_w},
-                              max_batch * cfg_.seq_len);
-    head_plan_ =
-        &plan.add_net(head_, {cfg_.seq_len, features_}, max_batch);
-  }
-  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
-    stage_batch(obs, n, enc_plan_->input());
-    // Encoder output [n*T, F] is [n, T, F] in memory: the head consumes
-    // it in place through the external-input overload (training's reshape
-    // sees the same layout).
-    const float* feats = enc_plan_->run(n * cfg_.seq_len);
-    decode_regression(head_plan_->run(feats, n), n, out);
-  }
-
- private:
-  CompiledNet* enc_plan_ = nullptr;
-  CompiledNet* head_plan_ = nullptr;
-
-  Tensor forward(const std::vector<const Sample*>& batch, bool train) {
-    const Tensor feats = net_.forward(frames_tensor(batch), train);  // [N*T, F]
-    return head_.forward(
-        feats.reshaped({batch.size(), cfg_.seq_len, features_}), train);
-  }
-
-  Sequential head_;
-  std::size_t features_ = 0;
 };
 
 // --- 3d ----------------------------------------------------------------------
@@ -623,6 +518,8 @@ class Conv3dModel : public NetModel {
     if (cfg.seq_len < 3) {
       throw std::invalid_argument("3d model: seq_len must be >= 3");
     }
+    // The last seq_len frames are the depth axis: [1, T, H, W] per row.
+    in_shape_ = {1, cfg.seq_len, cfg.img_h, cfg.img_w};
     net_.add<Conv3D>(1, 8, 2, 3, 1, 2, rng_);
     net_.add<ReLU>();
     net_.add<Conv3D>(8, 16, 2, 3, 1, 2, rng_);
@@ -638,38 +535,6 @@ class Conv3dModel : public NetModel {
 
   ModelType type() const override { return ModelType::Conv3d; }
   std::size_t seq_len() const override { return cfg_.seq_len; }
-
-  double train_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor pred = net_.forward(stack(batch), /*train=*/true);
-    auto [loss, grad] = mse_loss(pred, targets_tensor(batch));
-    net_.backward(grad);
-    opt_.step(net_.params());
-    return loss;
-  }
-
-  double eval_batch(const std::vector<const Sample*>& batch) override {
-    const Tensor pred = net_.forward(stack(batch), /*train=*/false);
-    return mse_loss(pred, targets_tensor(batch)).first;
-  }
-
- protected:
-  void build_plan(CompiledModel& plan, std::size_t max_batch) override {
-    net_plan_ = &plan.add_net(
-        net_, {1, cfg_.seq_len, cfg_.img_h, cfg_.img_w}, max_batch);
-  }
-  void run_plan(const Sample* obs, std::size_t n, Prediction* out) override {
-    stage_batch(obs, n, net_plan_->input());
-    decode_regression(net_plan_->run(n), n, out);
-  }
-
- private:
-  CompiledNet* net_plan_ = nullptr;
-
-  /// The last seq_len frames as the depth axis: [N, 1, T, H, W].
-  Tensor stack(const std::vector<const Sample*>& batch) const {
-    return frames_tensor(
-        batch, {batch.size(), 1, cfg_.seq_len, cfg_.img_h, cfg_.img_w});
-  }
 };
 
 }  // namespace

@@ -14,9 +14,19 @@
 //
 // All models consume Sample observations; sequence models read the last
 // seq_len() frames, the memory model reads history_len() command pairs.
-// Training walks the Sequential stacks layer by layer; inference has one
-// path, the compiled plan (ml/plan.hpp), which every zoo model's
-// predict_batch runs through.
+//
+// The six are one implementation (NetModel in driving_model.cpp): an
+// encoder net and, for memory and rnn, a head net, described by four
+// geometry members each type's constructor sets: one encoder row's
+// shape, encoder rows per sample (seq_len for rnn, else 1), one head
+// row's shape, and the history values that end each head row. One
+// training step serves train_batch and eval_batch: stage the frames, run
+// the encoder, join its rows and the history into head rows, run the
+// head, take the loss and, when training, back through both nets and one
+// Adam step. One plan runner serves predict_batch: the same staging and
+// join into the compiled plan's input slots (ml/plan.hpp), the only
+// inference path. A type supplies only its layers, type(), seq_len() or
+// history_len(), and (categorical, inferred) its loss() and decode().
 #pragma once
 
 #include <iosfwd>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 #include "ml/conv.hpp"
 #include "ml/layers.hpp"
@@ -67,7 +66,6 @@ struct CompiledNet::Impl {
   std::size_t in_elems = 0;   // per row
   std::size_t out_elems = 0;  // per row
   std::size_t out_value = 0;
-  bool input_written = false;  // some step writes the input value in place
   std::vector<Step> steps;
   std::vector<Value> values;
   std::vector<float> arena;
@@ -81,7 +79,7 @@ struct CompiledNet::Impl {
 
   void compile(Sequential& net, const std::vector<std::size_t>& in_shape);
   void assign_offsets();
-  const float* exec(const float* x, std::size_t rows);
+  const float* exec(std::size_t rows);
 };
 
 void CompiledNet::Impl::compile(Sequential& net,
@@ -214,14 +212,12 @@ void CompiledNet::Impl::compile(Sequential& net,
       s.op = Op::Relu;
       s.in = s.out = cur;
       values[cur].last_use = si;
-      if (cur == 0) input_written = true;
       steps.push_back(s);
     } else if (dynamic_cast<Tanh*>(&layer) != nullptr) {
       Step s{};
       s.op = Op::Tanh;
       s.in = s.out = cur;
       values[cur].last_use = si;
-      if (cur == 0) input_written = true;
       steps.push_back(s);
     } else if (dynamic_cast<Flatten*>(&layer) != nullptr) {
       shape = {elems(shape)};  // shape-only: the arena is already flat
@@ -288,23 +284,14 @@ void CompiledNet::Impl::assign_offsets() {
   arena.assign(high_water, 0.0f);
 }
 
-const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
+const float* CompiledNet::Impl::exec(std::size_t rows) {
   if (rows == 0 || rows > max_rows) {
     throw PlanError(PlanError::Code::BadBatch,
                     "plan: run() rows " + std::to_string(rows) +
                         " outside [1, " + std::to_string(max_rows) + "]");
   }
   float* const base = arena.data();
-  // External input with an in-place step on value 0: copy into the
-  // staging slot rather than scribbling on the caller's buffer.
-  if (input_written && x != base + values[0].offset) {
-    std::memcpy(base + values[0].offset, x, rows * in_elems * sizeof(float));
-    x = base + values[0].offset;
-  }
   const auto at = [&](std::size_t vi) { return base + values[vi].offset; };
-  const auto src_of = [&](std::size_t vi) -> const float* {
-    return vi == 0 ? x : at(vi);
-  };
   // Byte-typed views of float slots (quantized activations).
   const auto bytes_at = [&](std::size_t vi) {
     return reinterpret_cast<std::uint8_t*>(at(vi));
@@ -314,24 +301,24 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
   for (const Step& s : steps) {
     switch (s.op) {
       case Op::Conv:
-        s.conv->forward_into(src_of(s.in), n, s.vol, at(s.out), s.fuse_relu);
+        s.conv->forward_into(at(s.in), n, s.vol, at(s.out), s.fuse_relu);
         break;
       case Op::QuantConv:
-        s.qconv->forward_into(src_of(s.in), n, s.vol, at(s.scr0),
+        s.qconv->forward_into(at(s.in), n, s.vol, at(s.scr0),
                               bytes_at(s.scr1), at(s.scr2), at(s.out),
                               s.fuse_relu);
         break;
       case Op::Dense:
-        s.dense->forward_into(src_of(s.in), n, at(s.out), s.fuse_relu);
+        s.dense->forward_into(at(s.in), n, at(s.out), s.fuse_relu);
         break;
       case Op::QuantDense:
-        s.qdense->forward_into(src_of(s.in), n, bytes_at(s.scr0), at(s.scr1),
+        s.qdense->forward_into(at(s.in), n, bytes_at(s.scr0), at(s.scr1),
                                at(s.out), s.fuse_relu);
         break;
       case Op::Lstm: {
         // h and c start at zero and each step updates them in place.
         const std::size_t d = s.lstm->input_size();
-        const float* xin = src_of(s.in);  // [n, T*D] == [n, T, D]
+        const float* xin = at(s.in);  // [n, T*D] == [n, T, D]
         float* gates = at(s.scr0);
         float* c = at(s.scr1);
         float* h = at(s.out);
@@ -358,7 +345,7 @@ const float* CompiledNet::Impl::exec(const float* x, std::size_t rows) {
       }
     }
   }
-  return src_of(out_value);
+  return at(out_value);
 }
 
 CompiledNet::CompiledNet(Sequential& net,
@@ -381,12 +368,7 @@ std::size_t CompiledNet::in_row_elems() const { return impl_->in_elems; }
 std::size_t CompiledNet::out_row_elems() const { return impl_->out_elems; }
 std::size_t CompiledNet::max_rows() const { return impl_->max_rows; }
 
-const float* CompiledNet::run(std::size_t rows) {
-  return impl_->exec(input(), rows);
-}
-const float* CompiledNet::run(const float* x, std::size_t rows) {
-  return impl_->exec(x, rows);
-}
+const float* CompiledNet::run(std::size_t rows) { return impl_->exec(rows); }
 
 const PlanStats& CompiledNet::stats() const { return impl_->stats; }
 

@@ -85,7 +85,9 @@ class CompiledNet {
   CompiledNet& operator=(const CompiledNet&) = delete;
 
   /// Staging buffer for the input, [max_rows, in_row_elems] row-major
-  /// inside the arena. Callers write the batch here, then run(rows).
+  /// inside the arena: the one way a plan takes its input. Callers write
+  /// the batch here, then run(rows); a run may overwrite it in place, so
+  /// stage again before the next one.
   float* input();
   std::size_t in_row_elems() const;
   std::size_t out_row_elems() const;
@@ -96,9 +98,6 @@ class CompiledNet {
   /// PlanError{BadBatch} when rows is 0 or exceeds the cap. Performs no
   /// heap allocation (after kernel warm-up) — see docs/performance.md.
   const float* run(std::size_t rows);
-  /// Same, reading the input from `x` instead of the staging buffer (used
-  /// by the RNN head, which consumes the encoder's output in place).
-  const float* run(const float* x, std::size_t rows);
 
   const PlanStats& stats() const;
 

@@ -70,7 +70,8 @@ QuantConv::QuantConv(const Conv& conv, ActQuant xq)
       b_(conv.bias()),
       qw_(quantize_weights(conv.weights().data(), g_.out_channels,
                            g_.patch_rows())),
-      xq_(xq) {}
+      xq_(xq),
+      flops_(conv.flops_per_sample()) {}
 
 Tensor QuantConv::forward(const Tensor& x, bool /*train*/) {
   const ConvGeometry::Volumes v = g_.volumes(x.shape());

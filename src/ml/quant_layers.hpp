@@ -56,7 +56,8 @@ class QuantDense : public Layer {
 /// with the patch matrix quantized and multiplied by packed int8 weights.
 class QuantConv : public Layer {
  public:
-  /// Takes the geometry and trained parameters of `conv`.
+  /// Takes the geometry, trained parameters and FLOPs of `conv`, so a
+  /// twin of a conv that has run prices like it before its own forward.
   QuantConv(const Conv& conv, ActQuant xq);
 
   Tensor forward(const Tensor& x, bool train) override;
@@ -91,7 +92,7 @@ class QuantConv : public Layer {
   ActQuant xq_;
   ScratchArena scratch_;            // float col + batched output
   std::vector<std::uint8_t> qcol_;  // quantized patch matrix
-  mutable std::uint64_t flops_ = 0;
+  mutable std::uint64_t flops_;
 };
 
 }  // namespace autolearn::ml

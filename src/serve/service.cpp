@@ -12,13 +12,6 @@
 namespace autolearn::serve {
 namespace {
 
-/// Latency pricing must follow the published model's arithmetic: an int8
-/// variant in the registry is billed at the device's int8 throughput.
-gpu::Precision pricing_precision(const ml::DrivingModel& model) {
-  return model.precision() == ml::Precision::Int8 ? gpu::Precision::Int8
-                                                  : gpu::Precision::Fp32;
-}
-
 double p99(std::vector<double> v) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
@@ -574,7 +567,7 @@ void FleetService::shed_request(ServeRequest request, std::size_t shard) {
   const gpu::DeviceSpec& edge = gpu::device(options_.continuum.edge_device);
   const double exec_s =
       gpu::inference_latency_s(edge, scaled_flops(*snapshot->model), 1,
-                               pricing_precision(*snapshot->model));
+                               core::pricing_precision(*snapshot->model));
 
   ServeRecord record;
   record.id = request.id;
@@ -654,7 +647,7 @@ void FleetService::dispatch_batch(std::size_t s) {
   snapshot->model->predict_batch(samples.data(), n, predictions.data());
 
   const std::uint64_t flops = scaled_flops(*snapshot->model);
-  const gpu::Precision precision = pricing_precision(*snapshot->model);
+  const gpu::Precision precision = core::pricing_precision(*snapshot->model);
   const Tier tier = choose_tier(s, now, n, flops, precision);
   const gpu::DeviceSpec& spec =
       gpu::device(tier == Tier::Cloud ? options_.continuum.cloud_device

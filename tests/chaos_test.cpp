@@ -77,7 +77,9 @@ TEST(Chaos, RandomPlanIsSeedReproducible) {
     EXPECT_DOUBLE_EQ(plans[0][i].at, plans[1][i].at) << i;
     EXPECT_DOUBLE_EQ(plans[0][i].duration, plans[1][i].duration) << i;
     EXPECT_EQ(plans[0][i].target, plans[1][i].target) << i;
-    if (i > 0) EXPECT_GE(plans[0][i].at, plans[0][i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(plans[0][i].at, plans[0][i - 1].at);
+    }
   }
 }
 

@@ -3,7 +3,7 @@
 // to an uninterrupted fit — same weights, same optimizer moments, same
 // RNG streams, same loss history. Covered kill points: the epoch
 // boundary, the mid-epoch batch boundary, and right after a GEMM-backed
-// train_batch; covered models: linear, rnn, conv3d.
+// train_batch; covered models: all six.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -192,7 +192,9 @@ TEST_P(ResumeBitwise, KilledMidBatchRightAfterTheGemm) {
 
 INSTANTIATE_TEST_SUITE_P(Models, ResumeBitwise,
                          ::testing::Values(ModelType::Linear, ModelType::Rnn,
-                                           ModelType::Conv3d),
+                                           ModelType::Conv3d, ModelType::Memory,
+                                           ModelType::Categorical,
+                                           ModelType::Inferred),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });

@@ -9,7 +9,10 @@
 #include "data/collector.hpp"
 #include "data/dataset.hpp"
 #include "data/tub.hpp"
+#include "gpu/perf_model.hpp"
+#include "ml/quant_model.hpp"
 #include "ml/trainer.hpp"
+#include "obs/metrics.hpp"
 
 namespace autolearn::core {
 namespace {
@@ -176,6 +179,41 @@ TEST(Continuum, EvaluatePlacementRuns) {
         evaluate_placement(t, *main_model, *edge_model, p, copt, eopt);
     EXPECT_EQ(r.steps, 100u) << to_string(p);
   }
+}
+
+TEST(Continuum, OnDeviceInt8ModelIsPricedAtItsInt8Latency) {
+  // An int8 edge model is billed at the device's int8 throughput on its
+  // full FLOPs, conv layers included, though it has not run a forward of
+  // its own when the placement reads them.
+  const track::Track t = track::Track::paper_oval();
+  ml::ModelConfig cfg;
+  auto fp32 = ml::make_model(ml::ModelType::Linear, cfg);
+  ml::Sample s;
+  s.frames = {camera::Image(cfg.img_w, cfg.img_h, 0.5f)};
+  auto int8 = ml::quantize_model(*fp32, cfg, {s, s, s, s});
+  fp32->predict(s);  // sizes the source's conv FLOPs
+  EXPECT_EQ(int8->flops_per_sample(), fp32->flops_per_sample());
+
+  ContinuumOptions copt;
+  copt.flops_scale = 1500.0;
+  obs::MetricsRegistry metrics;
+  copt.metrics = &metrics;
+  eval::EvalOptions eopt;
+  eopt.duration_s = 1.0;
+  evaluate_placement(t, *int8, *int8, Placement::OnDevice, copt, eopt);
+
+  const auto flops = static_cast<std::uint64_t>(
+      static_cast<double>(fp32->flops_per_sample()) * copt.flops_scale);
+  const gpu::DeviceSpec& pi = gpu::device(copt.edge_device);
+  const double int8_price =
+      gpu::inference_latency_s(pi, flops, 1, gpu::Precision::Int8);
+  const obs::Histogram* latency = metrics.find_histogram("eval.cmd_latency_s");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), 20u);
+  EXPECT_EQ(latency->min(), int8_price);
+  EXPECT_EQ(latency->max(), int8_price);
+  EXPECT_LT(int8_price,
+            gpu::inference_latency_s(pi, flops, 1, gpu::Precision::Fp32));
 }
 
 // --- twin ------------------------------------------------------------------------

@@ -125,7 +125,6 @@ TEST(Evaluator, PerfModelPathMatchesFixedLatencyAtBatchOne) {
   modeled.duration_s = 20.0;
   modeled.infer_device = &pi;
   modeled.infer_flops = flops;
-  modeled.infer_batch = 1;
 
   EvalOptions legacy;
   legacy.duration_s = 20.0;

@@ -467,7 +467,9 @@ TEST_P(ThreadInvarianceTest, FitIsBitwiseIdenticalAcrossWorkerCounts) {
 
 INSTANTIATE_TEST_SUITE_P(
     ConvDenseLstm, ThreadInvarianceTest,
-    ::testing::Values(ModelType::Linear, ModelType::Rnn, ModelType::Conv3d),
+    ::testing::Values(ModelType::Linear, ModelType::Rnn, ModelType::Conv3d,
+                      ModelType::Memory, ModelType::Categorical,
+                      ModelType::Inferred),
     [](const ::testing::TestParamInfo<ModelType>& info) {
       std::string name = to_string(info.param);
       if (name == "3d") name = "conv3d";

@@ -432,6 +432,39 @@ TEST(Models, PredictionsInRange) {
   }
 }
 
+TEST(Models, MakeModelRejectsConfigsItCannotRun) {
+  // A categorical head of one bin unbins to 0/0 (a NaN command), and one
+  // of zero bins cannot train; an rnn of zero frames cannot compile its
+  // plan. make_model refuses all of them up front, as load_model_bundle
+  // does.
+  for (const auto& [steering_bins, throttle_bins] :
+       {std::pair<std::size_t, std::size_t>{1, 20}, {0, 20}, {15, 1},
+        {15, 0}}) {
+    ModelConfig cfg = tiny_config();
+    cfg.steering_bins = steering_bins;
+    cfg.throttle_bins = throttle_bins;
+    EXPECT_THROW(make_model(ModelType::Categorical, cfg),
+                 std::invalid_argument)
+        << steering_bins << "/" << throttle_bins << " bins";
+  }
+  ModelConfig rnn = tiny_config();
+  rnn.seq_len = 0;
+  EXPECT_THROW(make_model(ModelType::Rnn, rnn), std::invalid_argument);
+
+  // The smallest configs they accept still predict finite commands.
+  ModelConfig two_bins = tiny_config();
+  two_bins.steering_bins = 2;
+  two_bins.throttle_bins = 2;
+  rnn.seq_len = 1;
+  const auto data = synthetic_dataset(2, tiny_config(), 44);
+  for (auto& m : {make_model(ModelType::Categorical, two_bins),
+                  make_model(ModelType::Rnn, rnn)}) {
+    const Prediction p = m->predict(data[0]);
+    EXPECT_TRUE(std::isfinite(p.steering)) << m->type_name();
+    EXPECT_TRUE(std::isfinite(p.throttle)) << m->type_name();
+  }
+}
+
 class ModelLearningTest : public ::testing::TestWithParam<ModelType> {};
 
 TEST_P(ModelLearningTest, LearnsSyntheticSteering) {

@@ -32,15 +32,6 @@ std::shared_ptr<ml::DrivingModel> make_shared_model(std::uint64_t seed = 42) {
       ml::make_model(ml::ModelType::Linear, cfg));
 }
 
-std::size_t moved_keys(const std::vector<std::size_t>& before,
-                       const std::vector<std::size_t>& after) {
-  std::size_t moved = 0;
-  for (std::size_t k = 0; k < before.size(); ++k) {
-    if (before[k] != after[k]) ++moved;
-  }
-  return moved;
-}
-
 // --- ring resize: bounded churn --------------------------------------------
 
 TEST(ShardRouterResize, ExpectedRemapFractionMatchesShipsInTheRing) {
@@ -585,7 +576,9 @@ TEST(FleetResize, ManualShrinkDrainsRetiringQueuesIntoSurvivors) {
   EXPECT_EQ(r.requests, r.completed + r.shed);
   // After the shrink every completion ran on shard 0.
   for (const ServeRecord& rec : r.records) {
-    if (!rec.shed && rec.t_dispatch > 0.5) EXPECT_EQ(rec.shard, 0u);
+    if (!rec.shed && rec.t_dispatch > 0.5) {
+      EXPECT_EQ(rec.shard, 0u);
+    }
   }
 }
 
