@@ -16,9 +16,11 @@ using namespace autolearn;
 
 void BM_PlacementLatency(benchmark::State& state) {
   core::ContinuumOptions copt;
+  const auto edge = ml::make_model(ml::ModelType::Inferred);
+  const auto cloud = ml::make_model(ml::ModelType::Linear);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::placement_latency_s(
-        core::Placement::Cloud, copt, 2'000'000, 40'000'000));
+        core::Placement::Cloud, copt, *edge, *cloud));
   }
 }
 BENCHMARK(BM_PlacementLatency)->Unit(benchmark::kNanosecond);
@@ -53,9 +55,8 @@ void reproduce() {
       eopt.duration_s = 45.0;
       eopt.real_profiles = true;
       eopt.command_latency_s = core::placement_latency_s(
-          core::Placement::Hybrid, copt,
-          edge_model.model->flops_per_sample(),
-          cloud_model.model->flops_per_sample());
+          core::Placement::Hybrid, copt, *edge_model.model,
+          *cloud_model.model);
       const eval::EvalResult r = eval::run_evaluation(track, pilot, eopt);
       table.add_row(
           {util::TablePrinter::num(rtt_ms, 0),

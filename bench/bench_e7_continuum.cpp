@@ -73,8 +73,7 @@ void reproduce() {
                               core::Placement::Cloud,
                               core::Placement::Hybrid}) {
       const double latency = core::placement_latency_s(
-          p, copt, edge_model.model->flops_per_sample(),
-          cloud_model.model->flops_per_sample());
+          p, copt, *edge_model.model, *cloud_model.model);
       const eval::EvalResult r = core::evaluate_placement(
           track, *cloud_model.model, *edge_model.model, p, copt, eopt);
       table.add_row(

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "camera/image.hpp"
+#include "gpu/perf_model.hpp"
 #include "ml/driving_model.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/service.hpp"

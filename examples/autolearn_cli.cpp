@@ -8,8 +8,12 @@
 //   autolearn_cli train    <tub> <model> <epochs> <checkpoint>
 //   autolearn_cli evaluate <track> <model> <checkpoint> <secs>
 //   autolearn_cli devices
+//
+// Every number must be the whole token (seconds finite and > 0, epochs
+// plain digits); a bad one exits 2 before any work starts.
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "eval/pilot.hpp"
 #include "gpu/perf_model.hpp"
 #include "ml/trainer.hpp"
+#include "cli_args.hpp"
 #include "track/track.hpp"
 #include "util/table.hpp"
 
@@ -66,9 +71,11 @@ int cmd_collect(const std::vector<std::string>& args) {
     std::cerr << "usage: collect <track> <path> <seconds> <tubdir>\n";
     return 2;
   }
+  const std::optional<double> seconds = cli::parse_seconds(args[2]);
+  if (!seconds) return cli::bad_number("collect: bad seconds", args[2]);
   const track::Track track = track_by_name(args[0]);
   data::CollectOptions opt;
-  opt.duration_s = std::stod(args[2]);
+  opt.duration_s = *seconds;
   opt.expert.steering_noise = 0.08;
   const data::CollectStats stats =
       data::collect_session(track, path_by_name(args[1]), opt, args[3]);
@@ -96,12 +103,15 @@ int cmd_train(const std::vector<std::string>& args) {
     std::cerr << "usage: train <tubdir> <model> <epochs> <checkpoint>\n";
     return 2;
   }
+  const std::optional<std::size_t> epochs =
+      cli::parse_number<std::size_t>(args[2]);
+  if (!epochs) return cli::bad_number("train: bad epochs", args[2]);
   data::Tub tub(args[0]);
   auto samples = data::build_samples(tub.read_all(), {});
   auto [train, val] = data::split_train_val(std::move(samples), 0.15);
   auto model = ml::make_model(ml::model_type_from_string(args[1]));
   ml::TrainOptions opt;
-  opt.epochs = static_cast<std::size_t>(std::stoul(args[2]));
+  opt.epochs = *epochs;
   const ml::TrainResult result = ml::fit(*model, train, val, opt);
   std::ofstream os(args[3], std::ios::binary);
   if (!os) {
@@ -127,6 +137,8 @@ int cmd_evaluate(const std::vector<std::string>& args) {
     std::cerr << "usage: evaluate <track> <model> <checkpoint> <seconds>\n";
     return 2;
   }
+  const std::optional<double> seconds = cli::parse_seconds(args[3]);
+  if (!seconds) return cli::bad_number("evaluate: bad seconds", args[3]);
   const track::Track track = track_by_name(args[0]);
   auto model = ml::make_model(ml::model_type_from_string(args[1]));
   std::ifstream is(args[2], std::ios::binary);
@@ -137,7 +149,7 @@ int cmd_evaluate(const std::vector<std::string>& args) {
   model->load(is);
   eval::ModelPilot pilot(*model);
   eval::EvalOptions opt;
-  opt.duration_s = std::stod(args[3]);
+  opt.duration_s = *seconds;
   const eval::EvalResult r = eval::run_evaluation(track, pilot, opt);
   std::cout << "laps " << r.laps << ", errors " << r.errors
             << ", mean speed " << r.mean_speed << " m/s, best lap "

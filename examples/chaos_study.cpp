@@ -11,12 +11,14 @@
 // printed with the report.
 //
 //   $ ./chaos_study [seed]
-#include <cstdlib>
+//
+// The seed must be plain digits; anything else exits 2.
 #include <filesystem>
 #include <iostream>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
+#include "cli_args.hpp"
 #include "core/continuum.hpp"
 #include "core/pipeline.hpp"
 #include "fault/chaos.hpp"
@@ -39,8 +41,12 @@ int main(int argc, char** argv) {
   using namespace autolearn;
   namespace fs = std::filesystem;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  std::uint64_t seed = 42;
+  if (argc > 1) {
+    const auto parsed = cli::parse_number<std::uint64_t>(argv[1]);
+    if (!parsed) return cli::bad_number("chaos_study: bad seed", argv[1]);
+    seed = *parsed;
+  }
   const track::Track track = track::Track::paper_oval();
 
   auto train_model = [&](ml::ModelType type, std::size_t epochs,

@@ -61,8 +61,7 @@ int main() {
                               core::Placement::Cloud,
                               core::Placement::Hybrid}) {
       const double latency = core::placement_latency_s(
-          p, copt, edge_pipe.model().flops_per_sample(),
-          cloud_pipe.model().flops_per_sample());
+          p, copt, edge_pipe.model(), cloud_pipe.model());
       const eval::EvalResult r = core::evaluate_placement(
           track, cloud_pipe.model(), edge_pipe.model(), p, copt, eopt);
       table.add_row({util::TablePrinter::num(rtt_ms, 0),

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "gpu/perf_model.hpp"
+
 namespace autolearn::core {
 
 const char* to_string(Placement p) {
@@ -14,33 +16,30 @@ const char* to_string(Placement p) {
   return "?";
 }
 
-gpu::Precision pricing_precision(const ml::DrivingModel& model) {
-  return model.precision() == ml::Precision::Int8 ? gpu::Precision::Int8
-                                                  : gpu::Precision::Fp32;
+double inference_s(const ContinuumOptions& options, const std::string& device,
+                   const ml::DrivingModel& model, std::size_t batch) {
+  const auto flops = static_cast<std::uint64_t>(
+      static_cast<double>(model.flops_per_sample()) * options.flops_scale);
+  const gpu::Precision precision = model.precision() == ml::Precision::Int8
+                                       ? gpu::Precision::Int8
+                                       : gpu::Precision::Fp32;
+  return gpu::inference_latency_s(gpu::device(device), flops, batch,
+                                  precision);
 }
 
 double placement_latency_s(Placement placement, const ContinuumOptions& opt,
-                           std::uint64_t edge_model_flops,
-                           std::uint64_t cloud_model_flops) {
-  const auto scaled = [&](std::uint64_t flops) {
-    return static_cast<std::uint64_t>(static_cast<double>(flops) *
-                                      opt.flops_scale);
-  };
-  // Batch-of-1 through the batched perf model (bitwise-equal to the legacy
-  // single-sample accounting) so eval and serving price compute the same.
-  const double edge_infer = gpu::inference_latency_s(
-      gpu::device(opt.edge_device), scaled(edge_model_flops), /*batch=*/1);
-  const double cloud_infer = gpu::inference_latency_s(
-      gpu::device(opt.cloud_device), scaled(cloud_model_flops), /*batch=*/1);
+                           const ml::DrivingModel& edge_model,
+                           const ml::DrivingModel& cloud_model) {
   switch (placement) {
     case Placement::OnDevice:
       // On-device runs the edge-sized model (the big one does not hold
-      // the control rate on a Pi).
-      return edge_infer;
-    case Placement::Cloud: return opt.network_rtt_s + cloud_infer;
+      // the control rate on a Pi); the hybrid loop is never blocked
+      // longer than it either.
     case Placement::Hybrid:
-      // The loop is never blocked longer than the edge model's latency.
-      return edge_infer;
+      return inference_s(opt, opt.edge_device, edge_model);
+    case Placement::Cloud:
+      return opt.network_rtt_s +
+             inference_s(opt, opt.cloud_device, cloud_model);
   }
   throw std::invalid_argument("placement_latency: bad placement");
 }
@@ -59,20 +58,8 @@ HybridPilot::HybridPilot(ml::DrivingModel& edge_model,
     breaker_.set_on_transition([this](fault::CircuitBreaker::State from,
                                       fault::CircuitBreaker::State to,
                                       double now) {
-      if (options_.tracer) {
-        util::Json args = util::Json::object();
-        args.set("from", util::Json(fault::to_string(from)));
-        args.set("to", util::Json(fault::to_string(to)));
-        args.set("t", util::Json(now));
-        options_.tracer->instant("fault.breaker", "fault", std::move(args));
-      }
-      if (options_.metrics) {
-        options_.metrics->counter("fault.breaker.transitions").inc();
-        options_.metrics
-            ->counter(std::string("fault.breaker.to_") +
-                      fault::to_string(to))
-            .inc();
-      }
+      fault::record_transition(options_.tracer, options_.metrics, from, to,
+                               now);
     });
   }
 }
@@ -122,16 +109,8 @@ vehicle::DriveCommand HybridPilot::act(const camera::Image& frame) {
         awaiting_recovery_ = true;  // half-open probe re-closed the breaker
       }
       const vehicle::DriveCommand cloud_cmd = cloud_.act(frame);
-      // Batch-of-1 through the batched perf model at the model's own
-      // precision: the same accounting the fleet serving tier uses for its
-      // dynamic batches.
-      const double cloud_infer = gpu::inference_latency_s(
-          gpu::device(options_.cloud_device),
-          static_cast<std::uint64_t>(
-              static_cast<double>(cloud_model_.flops_per_sample()) *
-              options_.flops_scale),
-          /*batch=*/1, pricing_precision(cloud_model_));
-      double delay = options_.network_rtt_s + cloud_infer;
+      double delay = options_.network_rtt_s +
+                     inference_s(options_, options_.cloud_device, cloud_model_);
       if (options_.rtt_jitter_s > 0) {
         delay = std::max(0.0, rng_.normal(delay, options_.rtt_jitter_s));
       }
@@ -175,47 +154,27 @@ eval::EvalResult evaluate_placement(const track::Track& track,
   opts.dt = options.control_dt;
   if (!opts.tracer) opts.tracer = options.tracer;
   if (!opts.metrics) opts.metrics = options.metrics;
-  const auto scaled = [&](std::uint64_t flops) {
-    return static_cast<std::uint64_t>(static_cast<double>(flops) *
-                                      options.flops_scale);
-  };
-  // The evaluator derives the compute part of the command latency through
-  // the batched perf model at batch 1, at the placed model's precision
-  // (for fp32 models bitwise-equal to placement_latency_s);
-  // command_latency_s carries only the network part.
-  const std::uint64_t main_flops = main_model.flops_per_sample();
-  const std::uint64_t edge_flops = edge_fallback.flops_per_sample();
-  switch (placement) {
-    case Placement::OnDevice: {
-      opts.infer_device = &gpu::device(options.edge_device);
-      opts.infer_flops = scaled(edge_flops);
-      opts.infer_precision = pricing_precision(edge_fallback);
-      eval::ModelPilot pilot(edge_fallback);
-      return eval::run_evaluation(track, pilot, opts);
-    }
-    case Placement::Cloud: {
-      opts.command_latency_s = options.network_rtt_s;
-      opts.infer_device = &gpu::device(options.cloud_device);
-      opts.infer_flops = scaled(main_flops);
-      opts.infer_precision = pricing_precision(main_model);
-      opts.latency_jitter_s = options.rtt_jitter_s;
-      eval::ModelPilot pilot(main_model);
-      return eval::run_evaluation(track, pilot, opts);
-    }
-    case Placement::Hybrid: {
-      // The loop is never blocked longer than the edge model's latency;
-      // the cloud command's extra delay flows through the pilot's pipe.
-      opts.infer_device = &gpu::device(options.edge_device);
-      opts.infer_flops = scaled(edge_flops);
-      opts.infer_precision = pricing_precision(edge_fallback);
-      HybridPilot pilot(edge_fallback, main_model, options,
-                        util::Rng(eval_options.seed + 17));
-      eval::EvalResult result = eval::run_evaluation(track, pilot, opts);
-      result.degradation = pilot.degradation();
-      return result;
-    }
+  const double latency =
+      placement_latency_s(placement, options, edge_fallback, main_model);
+  if (placement == Placement::Cloud) {
+    // The cloud price carries the network RTT, so it replaces the fixed
+    // latency; on the car the inference adds to it.
+    opts.command_latency_s = latency;
+    opts.latency_jitter_s = options.rtt_jitter_s;
+    eval::ModelPilot pilot(main_model);
+    return eval::run_evaluation(track, pilot, opts);
   }
-  throw std::invalid_argument("evaluate_placement: bad placement");
+  opts.command_latency_s += latency;
+  if (placement == Placement::OnDevice) {
+    eval::ModelPilot pilot(edge_fallback);
+    return eval::run_evaluation(track, pilot, opts);
+  }
+  // Hybrid: the cloud command's extra delay flows through the pilot's pipe.
+  HybridPilot pilot(edge_fallback, main_model, options,
+                    util::Rng(eval_options.seed + 17));
+  eval::EvalResult result = eval::run_evaluation(track, pilot, opts);
+  result.degradation = pilot.degradation();
+  return result;
 }
 
 }  // namespace autolearn::core

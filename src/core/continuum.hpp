@@ -21,7 +21,6 @@
 #include "eval/evaluator.hpp"
 #include "fault/circuit_breaker.hpp"
 #include "fault/report.hpp"
-#include "gpu/perf_model.hpp"
 #include "ml/driving_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -66,17 +65,18 @@ struct ContinuumOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// The precision a model's latency is priced at: its own forward path's,
-/// so an int8 variant is billed at the device's int8 throughput. Placement
-/// eval, the hybrid pilot's cloud leg and the serving tiers all price
-/// through this one mapping.
-gpu::Precision pricing_precision(const ml::DrivingModel& model);
+/// The one price of an inference: seconds `batch` samples of `model` take
+/// on the named device, for its FLOPs times options.flops_scale at its own
+/// precision (int8 at the device's int8 throughput).
+double inference_s(const ContinuumOptions& options, const std::string& device,
+                   const ml::DrivingModel& model, std::size_t batch = 1);
 
-/// End-to-end command latency for a placement (excluding jitter), for
-/// fp32 models of the given FLOPs.
+/// End-to-end command latency for a placement (excluding jitter): the
+/// edge model on the edge device for OnDevice and Hybrid, the network RTT
+/// plus the cloud model on the cloud device for Cloud.
 double placement_latency_s(Placement placement, const ContinuumOptions& opt,
-                           std::uint64_t edge_model_flops,
-                           std::uint64_t cloud_model_flops);
+                           const ml::DrivingModel& edge_model,
+                           const ml::DrivingModel& cloud_model);
 
 /// Hybrid pilot: edge model answers immediately; the cloud model's answers
 /// arrive RTT+GPU-time later through a delay line and override the edge
@@ -121,7 +121,7 @@ class HybridPilot : public eval::Pilot {
   double recovery_latency_s_ = 0.0;
 };
 
-/// Evaluates a placement on a track: wires latency into the evaluator (or
+/// Evaluates a placement on a track at its placement_latency_s (or
 /// builds a HybridPilot) and returns the closed-loop result.
 eval::EvalResult evaluate_placement(const track::Track& track,
                                     ml::DrivingModel& main_model,

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "camera/camera.hpp"
+#include "util/units.hpp"
 #include "vehicle/car.hpp"
 
 namespace autolearn::core {
@@ -17,7 +18,8 @@ struct Trajectory {
 };
 
 Trajectory drive(const track::Track& track, eval::Pilot& pilot,
-                 const TwinOptions& opt, bool real, double noise_scale) {
+                 const TwinOptions& opt, std::size_t steps, bool real,
+                 double noise_scale) {
   util::Rng rng(opt.seed);
 
   vehicle::CarConfig car_cfg;
@@ -43,7 +45,6 @@ Trajectory drive(const track::Track& track, eval::Pilot& pilot,
 
   pilot.reset();
   Trajectory traj;
-  const auto steps = static_cast<std::size_t>(opt.duration_s / opt.dt);
   double s_prev = 0.0;
   for (std::size_t i = 0; i < steps; ++i) {
     const camera::Image frame = cam.render(track, car.state());
@@ -69,13 +70,15 @@ Trajectory drive(const track::Track& track, eval::Pilot& pilot,
 
 TwinReport compare_sim_to_real(const track::Track& track, eval::Pilot& pilot,
                                const TwinOptions& options) {
-  if (options.duration_s <= 0 || options.dt <= 0 || options.noise_scale < 0) {
+  const std::size_t steps =
+      util::control_steps(options.duration_s, options.dt, "twin");
+  if (!(options.noise_scale >= 0)) {
     throw std::invalid_argument("twin: bad options");
   }
   const Trajectory sim =
-      drive(track, pilot, options, /*real=*/false, options.noise_scale);
+      drive(track, pilot, options, steps, /*real=*/false, options.noise_scale);
   const Trajectory real =
-      drive(track, pilot, options, /*real=*/true, options.noise_scale);
+      drive(track, pilot, options, steps, /*real=*/true, options.noise_scale);
 
   TwinReport report;
   double pos_se = 0, speed_se = 0;

@@ -4,6 +4,7 @@
 
 #include "camera/camera.hpp"
 #include "util/logging.hpp"
+#include "util/units.hpp"
 
 namespace autolearn::data {
 
@@ -19,9 +20,8 @@ const char* to_string(DataPath path) {
 CollectStats collect_session(const track::Track& track, DataPath path,
                              const CollectOptions& options,
                              const std::filesystem::path& dir) {
-  if (options.duration_s <= 0 || options.dt <= 0) {
-    throw std::invalid_argument("collect: bad duration/dt");
-  }
+  const std::size_t steps =
+      util::control_steps(options.duration_s, options.dt, "collect");
   // The sample path is the fixed dataset shipped with the module: always
   // the same seed, always the clean profiles.
   const bool physical = path == DataPath::PhysicalCar;
@@ -45,7 +45,6 @@ CollectStats collect_session(const track::Track& track, DataPath path,
 
   TubWriter writer(dir);
   CollectStats stats;
-  const auto steps = static_cast<std::size_t>(options.duration_s / options.dt);
   double speed_sum = 0;
   for (std::size_t i = 0; i < steps; ++i) {
     const camera::Image frame = cam.render(track, car.state());

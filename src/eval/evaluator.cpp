@@ -6,6 +6,7 @@
 
 #include "camera/camera.hpp"
 #include "util/delay_line.hpp"
+#include "util/units.hpp"
 #include "vehicle/car.hpp"
 
 namespace autolearn::eval {
@@ -23,9 +24,8 @@ double EvalResult::best_lap() const {
 
 EvalResult run_evaluation(const track::Track& track, Pilot& pilot,
                           const EvalOptions& options) {
-  if (options.duration_s <= 0 || options.dt <= 0) {
-    throw std::invalid_argument("eval: bad duration/dt");
-  }
+  const std::size_t steps =
+      util::control_steps(options.duration_s, options.dt, "eval");
   util::Rng rng(options.seed);
 
   vehicle::CarConfig car_cfg;
@@ -45,17 +45,7 @@ EvalResult run_evaluation(const track::Track& track, Pilot& pilot,
   util::DelayLine<vehicle::DriveCommand> pipeline(options.dt,
                                                   vehicle::DriveCommand{});
 
-  // Fixed per-command latency: the network part plus (when a device is
-  // given) the batched perf-model inference cost.
-  double fixed_latency_s = options.command_latency_s;
-  if (options.infer_device) {
-    fixed_latency_s += gpu::inference_latency_s(
-        *options.infer_device, options.infer_flops, /*batch=*/1,
-        options.infer_precision);
-  }
-
   EvalResult result;
-  const auto steps = static_cast<std::size_t>(options.duration_s / options.dt);
   double s_prev = track.project(car.state().pos).s;
   double lap_progress = 0.0;
   double lap_clock = 0.0;
@@ -70,7 +60,7 @@ EvalResult run_evaluation(const track::Track& track, Pilot& pilot,
     if (options.telemetry) options.telemetry(car.state());
     const camera::Image frame = cam.render(track, car.state());
     const vehicle::DriveCommand cmd = pilot.act(frame);
-    double latency = fixed_latency_s;
+    double latency = options.command_latency_s;
     if (options.latency_jitter_s > 0) {
       latency = std::max(0.0, rng.normal(latency, options.latency_jitter_s));
     }

@@ -16,7 +16,6 @@
 
 #include "eval/pilot.hpp"
 #include "fault/report.hpp"
-#include "gpu/perf_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "track/track.hpp"
@@ -32,20 +31,8 @@ struct EvalOptions {
   std::size_t img_w = 32;
   std::size_t img_h = 24;
   bool real_profiles = false;    // real-car noise on vehicle and camera
-  double command_latency_s = 0.0;    // fixed part (network / externally given)
+  double command_latency_s = 0.0;    // fixed part (placement price, network)
   double latency_jitter_s = 0.0;     // gaussian stddev per command (network)
-  /// Perf-model latency accounting. When infer_device is set the
-  /// per-command latency is command_latency_s (the network part) plus
-  /// gpu::inference_latency_s(*infer_device, infer_flops, 1,
-  /// infer_precision) — the batched path the fleet serving tier prices
-  /// its batches with, so single-car eval and serving agree bitwise on
-  /// the batch-of-1 cost. Unset: command_latency_s is taken literally.
-  const gpu::DeviceSpec* infer_device = nullptr;
-  std::uint64_t infer_flops = 0;
-  /// Precision the priced model runs at: Int8 engages the device's
-  /// integer-path speedup. core::evaluate_placement sets it from the
-  /// placed model (core::pricing_precision).
-  gpu::Precision infer_precision = gpu::Precision::Fp32;
   double off_track_grace = 0.10;     // meters beyond the lane edge tolerated
   std::uint64_t seed = 5;
   /// Telemetry tap: called with the true car state before each control

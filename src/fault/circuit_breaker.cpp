@@ -1,6 +1,10 @@
 #include "fault/circuit_breaker.hpp"
 
 #include <stdexcept>
+#include <string>
+
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace autolearn::fault {
 
@@ -104,6 +108,23 @@ const char* to_string(CircuitBreaker::State s) {
     case CircuitBreaker::State::HalfOpen: return "half-open";
   }
   return "?";
+}
+
+void record_transition(obs::Tracer* tracer, obs::MetricsRegistry* metrics,
+                       CircuitBreaker::State from, CircuitBreaker::State to,
+                       double now, std::optional<std::size_t> shard) {
+  if (tracer) {
+    util::Json args = util::Json::object();
+    args.set("from", util::Json(to_string(from)));
+    args.set("to", util::Json(to_string(to)));
+    args.set("t", util::Json(now));
+    if (shard) args.set("shard", util::Json(*shard));
+    tracer->instant("fault.breaker", "fault", std::move(args));
+  }
+  if (metrics) {
+    metrics->counter("fault.breaker.transitions").inc();
+    metrics->counter(std::string("fault.breaker.to_") + to_string(to)).inc();
+  }
 }
 
 }  // namespace autolearn::fault

@@ -10,6 +10,12 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
+
+namespace autolearn::obs {
+class MetricsRegistry;
+class Tracer;
+}  // namespace autolearn::obs
 
 namespace autolearn::fault {
 
@@ -70,5 +76,12 @@ class CircuitBreaker {
 };
 
 const char* to_string(CircuitBreaker::State s);
+
+/// Records one transition on the sinks (either may be null): a
+/// "fault.breaker" instant with args from, to, t (then shard, when given)
+/// and the fault.breaker.transitions and fault.breaker.to_<state> counters.
+void record_transition(obs::Tracer* tracer, obs::MetricsRegistry* metrics,
+                       CircuitBreaker::State from, CircuitBreaker::State to,
+                       double now, std::optional<std::size_t> shard = {});
 
 }  // namespace autolearn::fault

@@ -114,7 +114,6 @@ std::string Conv::name() const { return conv_name(g_); }
 Tensor Conv::forward(const Tensor& x, bool /*train*/) {
   const ConvGeometry::Volumes v = g_.volumes(x.shape());
   last_input_ = x;
-  flops_ = g_.flops(v);
   const std::size_t n = x.dim(0);
   Tensor y(g_.out_shape(n, v));
   forward_into(x.data(), n, v, y.data(), /*relu=*/false);

@@ -41,6 +41,7 @@ struct ConvGeometry {
   std::size_t patch_rows() const {
     return in_channels * kernel_d * kernel * kernel;
   }
+  /// Forward FLOPs of one sample of volume v: 2 * OC * P * CKK.
   std::uint64_t flops(const Volumes& v) const {
     return 2ull * out_channels * v.positions() * patch_rows();
   }
@@ -67,7 +68,6 @@ class Conv : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::string name() const override;
-  std::uint64_t flops_per_sample() const override { return flops_; }
 
   static std::size_t out_dim(std::size_t in, std::size_t kernel,
                              std::size_t stride) {
@@ -90,13 +90,6 @@ class Conv : public Layer {
                     const ConvGeometry::Volumes& v, float* y,
                     bool relu) const;
 
-  /// Plan-compile hook (ml/plan.hpp): sets the per-sample FLOP estimate
-  /// from the input geometry without running a forward. The compiled path
-  /// never calls forward, but serve pricing reads flops_per_sample.
-  void prime_flops(const ConvGeometry::Volumes& v) const {
-    flops_ = g_.flops(v);
-  }
-
  protected:
   /// He-initialised weights; throws std::invalid_argument when any size
   /// or stride of `g` is zero.
@@ -110,7 +103,6 @@ class Conv : public Layer {
   // Patch matrix, gathered gradient and gradient patch matrix — reused
   // across batches so backward's scratch never reallocates.
   ScratchArena scratch_;
-  mutable std::uint64_t flops_ = 0;  // set on first forward (needs D, H, W)
 };
 
 /// 2-D convolution of [N, C, H, W]: weights [OC, C, K, K].

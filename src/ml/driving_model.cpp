@@ -141,10 +141,7 @@ class NetModel : public DrivingModel {
     for (Sequential* s : nets()) n += s->num_parameters();
     return n;
   }
-  /// rows_ encoder passes and one head pass per sample.
-  std::uint64_t flops_per_sample() const final {
-    return rows_ * net_.flops_per_sample() + head_.flops_per_sample();
-  }
+  std::uint64_t flops_per_sample() const final { return flops_; }
   std::vector<Sequential*> mutable_nets() final { return nets(); }
   void save(std::ostream& os) final {
     for (Sequential* s : nets()) s->save_params(os);
@@ -192,6 +189,14 @@ class NetModel : public DrivingModel {
   }
   void detach_plan() final { plan_.reset(); }
   CompiledModel* plan() final { return plan_.get(); }
+
+  /// Sets flops_per_sample from one-row compiles of the nets: rows_
+  /// encoder rows and one head row per sample. make_model calls it once;
+  /// loads and int8 swaps keep every shape, so the count stands.
+  void count_flops() {
+    flops_ = rows_ * CompiledNet(net_, in_shape_, 1).stats().flops;
+    if (has_head()) flops_ += CompiledNet(head_, head_shape_, 1).stats().flops;
+  }
 
  protected:
   explicit NetModel(const ModelConfig& cfg)
@@ -341,6 +346,7 @@ class NetModel : public DrivingModel {
   CompiledNet* enc_plan_ = nullptr;
   CompiledNet* head_plan_ = nullptr;
   std::size_t plan_cap_ = kDefaultPlanCap;
+  std::uint64_t flops_ = 0;
 };
 
 // --- linear ----------------------------------------------------------------
@@ -537,18 +543,24 @@ class Conv3dModel : public NetModel {
   std::size_t seq_len() const override { return cfg_.seq_len; }
 };
 
+template <typename M>
+std::unique_ptr<DrivingModel> built(const ModelConfig& config) {
+  auto model = std::make_unique<M>(config);
+  model->count_flops();
+  return model;
+}
+
 }  // namespace
 
 std::unique_ptr<DrivingModel> make_model(ModelType type,
                                          const ModelConfig& config) {
   switch (type) {
-    case ModelType::Linear: return std::make_unique<LinearModel>(config);
-    case ModelType::Categorical:
-      return std::make_unique<CategoricalModel>(config);
-    case ModelType::Inferred: return std::make_unique<InferredModel>(config);
-    case ModelType::Memory: return std::make_unique<MemoryModel>(config);
-    case ModelType::Rnn: return std::make_unique<RnnModel>(config);
-    case ModelType::Conv3d: return std::make_unique<Conv3dModel>(config);
+    case ModelType::Linear: return built<LinearModel>(config);
+    case ModelType::Categorical: return built<CategoricalModel>(config);
+    case ModelType::Inferred: return built<InferredModel>(config);
+    case ModelType::Memory: return built<MemoryModel>(config);
+    case ModelType::Rnn: return built<RnnModel>(config);
+    case ModelType::Conv3d: return built<Conv3dModel>(config);
   }
   throw std::invalid_argument("make_model: bad type");
 }

@@ -117,8 +117,10 @@ class DrivingModel {
 
   virtual std::size_t num_parameters() = 0;
 
-  /// Forward multiply-accumulates per sample; the training workload for
-  /// the GPU performance model is ~3x this per sample (fwd + bwd).
+  /// Forward FLOPs per sample; the training workload for the GPU
+  /// performance model is ~3x this per sample (fwd + bwd). A zoo model
+  /// knows it from construction, counted by the plan compiler
+  /// (PlanStats::flops), so it is priced right before its first forward.
   virtual std::uint64_t flops_per_sample() const = 0;
 
   virtual void save(std::ostream& os) = 0;

@@ -38,10 +38,6 @@ class Layer {
 
   virtual std::string name() const = 0;
 
-  /// Multiply-accumulate count per sample (forward pass), used by the GPU
-  /// performance model to convert a workload into simulated time.
-  virtual std::uint64_t flops_per_sample() const { return 0; }
-
   /// Checkpoint hooks for non-parameter state that affects training
   /// (Dropout's RNG stream). Parameters travel separately through
   /// Sequential::save_params; layers without such state keep the no-op.

@@ -17,9 +17,6 @@ class Dense : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::string name() const override { return "dense"; }
-  std::uint64_t flops_per_sample() const override {
-    return 2ull * in_features_ * out_features_;
-  }
 
   std::size_t in_features() const { return in_features_; }
   std::size_t out_features() const { return out_features_; }

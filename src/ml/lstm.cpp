@@ -34,7 +34,6 @@ Tensor LSTM::forward(const Tensor& x, bool /*train*/) {
   }
   const std::size_t n = x.dim(0), t_len = x.dim(1), nh = n * h_;
   last_input_ = x;
-  flops_ = 2ull * t_len * 4 * h_ * (d_ + h_);
   gates_.resize(t_len * n * 4 * h_);
   cell_.resize((t_len + 1) * nh);
   hidden_.resize((t_len + 1) * nh);

@@ -24,15 +24,9 @@ class LSTM : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&wx_, &wh_, &b_}; }
   std::string name() const override { return "lstm"; }
-  std::uint64_t flops_per_sample() const override { return flops_; }
 
   std::size_t hidden_size() const { return h_; }
   std::size_t input_size() const { return d_; }
-
-  /// Plan-compile hook; see Conv::prime_flops.
-  void prime_flops(std::size_t t_len) const {
-    flops_ = 2ull * t_len * 4 * h_ * (d_ + h_);
-  }
 
   /// The one LSTM time step, for n rows: gates [n, 4H] = b + x_t Wx^T +
   /// h_prev Wh^T, stored back post-activation (i, f, g, o); then
@@ -60,7 +54,6 @@ class LSTM : public Layer {
   // The buffers only grow, so steady-state batches reuse them.
   Tensor last_input_;
   std::vector<float> gates_, cell_, hidden_;
-  mutable std::uint64_t flops_ = 0;
 };
 
 }  // namespace autolearn::ml

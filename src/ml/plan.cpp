@@ -141,11 +141,7 @@ void CompiledNet::Impl::compile(Sequential& net,
         throw bad_shape(layer.name() + " input mismatch");
       }
       const std::size_t ckk = g.patch_rows(), p = s.vol.positions();
-      if (conv != nullptr) {
-        conv->prime_flops(s.vol);
-      } else {
-        qconv->prime_flops(s.vol);
-      }
+      stats.flops += g.flops(s.vol);
       s.fuse_relu = fuse_next_relu();
       s.in = cur;
       values[cur].last_use = si;
@@ -164,6 +160,7 @@ void CompiledNet::Impl::compile(Sequential& net,
       if (elems(shape) != dense->in_features()) {
         throw bad_shape("dense input mismatch");
       }
+      stats.flops += 2ull * dense->in_features() * dense->out_features();
       Step s{};
       s.op = Op::Dense;
       s.dense = dense;
@@ -178,7 +175,7 @@ void CompiledNet::Impl::compile(Sequential& net,
         throw bad_shape("lstm input mismatch");
       }
       const std::size_t t_len = shape[0], hs = lstm->hidden_size();
-      lstm->prime_flops(t_len);
+      stats.flops += 2ull * t_len * 4 * hs * (lstm->input_size() + hs);
       Step s{};
       s.op = Op::Lstm;
       s.lstm = lstm;
@@ -194,6 +191,7 @@ void CompiledNet::Impl::compile(Sequential& net,
       const std::size_t in_f = qdense->in_features();
       const std::size_t out_f = qdense->out_features();
       if (elems(shape) != in_f) throw bad_shape("qdense input mismatch");
+      stats.flops += 2ull * in_f * out_f;
       Step s{};
       s.op = Op::QuantDense;
       s.qdense = qdense;

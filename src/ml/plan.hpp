@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -61,13 +62,18 @@ class PlanError : public std::runtime_error {
 };
 
 /// Compile-time accounting, exposed for tests ("sharing beats the naive
-/// sum") and the serve gauges.
+/// sum"), the serve gauges and model pricing.
 struct PlanStats {
   std::size_t steps = 0;              // executable steps (no-ops dropped)
   std::size_t values = 0;             // liveness-tracked buffers
   std::size_t arena_floats = 0;       // arena size after slot sharing
   std::size_t naive_floats = 0;       // sum of value sizes (no sharing)
   std::size_t fused_activations = 0;  // ReLUs folded into producers
+  /// Forward FLOPs of one row, counted as compile walks the layer shapes:
+  /// conv ConvGeometry::flops, dense 2·in·out, LSTM 2·T·4H·(D+H), fp32 and
+  /// int8 alike. CompiledModel::stats leaves it 0 (a model's nets run
+  /// different rows per sample; DrivingModel::flops_per_sample weighs them).
+  std::uint64_t flops = 0;
 };
 
 /// One Sequential compiled for a fixed row cap. Rows are the net's batch

@@ -70,12 +70,10 @@ QuantConv::QuantConv(const Conv& conv, ActQuant xq)
       b_(conv.bias()),
       qw_(quantize_weights(conv.weights().data(), g_.out_channels,
                            g_.patch_rows())),
-      xq_(xq),
-      flops_(conv.flops_per_sample()) {}
+      xq_(xq) {}
 
 Tensor QuantConv::forward(const Tensor& x, bool /*train*/) {
   const ConvGeometry::Volumes v = g_.volumes(x.shape());
-  flops_ = g_.flops(v);
   const std::size_t n = x.dim(0), ckk = g_.patch_rows();
   const std::size_t np = n * v.positions();
   float* col = scratch_.get(kSlotCol, ckk * np);

@@ -29,7 +29,6 @@ class QuantDense : public Layer {
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::string name() const override { return "qdense"; }
-  std::uint64_t flops_per_sample() const override { return 2ull * in_ * out_; }
 
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
@@ -56,8 +55,7 @@ class QuantDense : public Layer {
 /// with the patch matrix quantized and multiplied by packed int8 weights.
 class QuantConv : public Layer {
  public:
-  /// Takes the geometry, trained parameters and FLOPs of `conv`, so a
-  /// twin of a conv that has run prices like it before its own forward.
+  /// Takes the geometry and trained parameters of `conv`.
   QuantConv(const Conv& conv, ActQuant xq);
 
   Tensor forward(const Tensor& x, bool train) override;
@@ -66,7 +64,6 @@ class QuantConv : public Layer {
   std::string name() const override {
     return g_.depth_axis ? "qconv3d" : "qconv2d";
   }
-  std::uint64_t flops_per_sample() const override { return flops_; }
 
   const ConvGeometry& geometry() const { return g_; }
 
@@ -80,11 +77,6 @@ class QuantConv : public Layer {
                     std::uint8_t* qcol, float* yall, float* y,
                     bool relu) const;
 
-  /// Plan-compile hook; see Conv::prime_flops.
-  void prime_flops(const ConvGeometry::Volumes& v) const {
-    flops_ = g_.flops(v);
-  }
-
  private:
   ConvGeometry g_;
   Param w_, b_;
@@ -92,7 +84,6 @@ class QuantConv : public Layer {
   ActQuant xq_;
   ScratchArena scratch_;            // float col + batched output
   std::vector<std::uint8_t> qcol_;  // quantized patch matrix
-  mutable std::uint64_t flops_;
 };
 
 }  // namespace autolearn::ml

@@ -41,10 +41,6 @@ class ObservedLayer : public Layer {
   std::string name() const override {
     return "observe(" + inner_->name() + ")";
   }
-  std::uint64_t flops_per_sample() const override {
-    return inner_->flops_per_sample();
-  }
-
   Layer& inner() { return *inner_; }
   LayerPtr take_inner() { return std::move(inner_); }
 

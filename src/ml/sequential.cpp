@@ -38,12 +38,6 @@ std::size_t Sequential::num_parameters() {
   return n;
 }
 
-std::uint64_t Sequential::flops_per_sample() const {
-  std::uint64_t total = 0;
-  for (const auto& l : layers_) total += l->flops_per_sample();
-  return total;
-}
-
 namespace {
 // "ALSQ": parameter-block magic, so a stream that is not a Sequential
 // checkpoint fails fast with BadHeader instead of misreading sizes.

@@ -71,10 +71,6 @@ class Sequential {
   /// Total trainable scalar count.
   std::size_t num_parameters();
 
-  /// Forward FLOPs per sample (valid after at least one forward pass for
-  /// conv layers, which size themselves from their input).
-  std::uint64_t flops_per_sample() const;
-
   /// Writes / reads all parameter tensors in order (binary). The format is
   /// self-describing (magic + per-tensor shapes); load_params validates
   /// tensor count and every shape against this model and throws

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/units.hpp"
+
 namespace autolearn::rl {
 
 QLearningPilot::QLearningPilot(const track::Track& track, QConfig config,
@@ -19,6 +21,8 @@ QLearningPilot::QLearningPilot(const track::Track& track, QConfig config,
       config_.gamma >= 1) {
     throw std::invalid_argument("qlearning: bad alpha/gamma");
   }
+  // Rejects a non-finite or non-positive episode_s or dt up front.
+  util::control_steps(config_.episode_s, config_.dt, "qlearning");
   const std::size_t states =
       config_.lateral_bins * config_.heading_bins * config_.curvature_bins;
   q_.assign(states * config_.actions, 0.0);
@@ -85,8 +89,8 @@ std::pair<double, bool> QLearningPilot::step_env(vehicle::Car& car,
 std::vector<EpisodeStats> QLearningPilot::train() {
   std::vector<EpisodeStats> stats;
   stats.reserve(config_.episodes);
-  const auto steps_per_episode =
-      static_cast<std::size_t>(config_.episode_s / config_.dt);
+  const std::size_t steps_per_episode =
+      util::control_steps(config_.episode_s, config_.dt, "qlearning");
   for (std::size_t ep = 0; ep < config_.episodes; ++ep) {
     const double frac = config_.episodes > 1
                             ? static_cast<double>(ep) /
@@ -143,12 +147,13 @@ vehicle::DriveCommand QLearningPilot::decide(
 
 EpisodeStats QLearningPilot::evaluate(double duration_s,
                                       std::uint64_t seed) const {
+  const std::size_t steps =
+      util::control_steps(duration_s, config_.dt, "qlearning evaluate");
   vehicle::Car car(vehicle::CarConfig{}, util::Rng(seed));
   car.reset(track_.position_at(0), track_.heading_at(0),
             config_.throttle * 2.0);
   double s_prev = track_.project(car.state().pos).s;
   EpisodeStats es;
-  const auto steps = static_cast<std::size_t>(duration_s / config_.dt);
   for (std::size_t i = 0; i < steps; ++i) {
     const std::size_t state = state_index(car.state());
     car.step({action_steering(best_action(state)), config_.throttle},

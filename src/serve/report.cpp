@@ -28,8 +28,6 @@ std::size_t ServeReport::max_batch() const {
   return best;
 }
 
-namespace {
-
 double quantile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q in [0,1]");
@@ -40,8 +38,6 @@ double quantile(std::vector<double> v, double q) {
   const double frac = idx - static_cast<double>(lo);
   return v[lo] + (v[hi] - v[lo]) * frac;
 }
-
-}  // namespace
 
 double ServeReport::queued_quantile_s(double q) const {
   std::vector<double> waits;

@@ -16,6 +16,10 @@
 
 namespace autolearn::serve {
 
+/// Linearly interpolated quantile q in [0, 1] of v (0 when v is empty):
+/// the report's quantiles and the autoscaler's windowed p99 signal.
+double quantile(std::vector<double> v, double q);
+
 /// Per-shard slice of a fleet run; attribution for degradation under
 /// chaos ("which site's loss cost what").
 struct ShardStats {

@@ -5,24 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "gpu/perf_model.hpp"
 #include "serve/errors.hpp"
 #include "testbed/topology.hpp"
 
 namespace autolearn::serve {
-namespace {
-
-double p99(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double idx = 0.99 * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(idx));
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return v[lo] + (v[hi] - v[lo]) * frac;
-}
-
-}  // namespace
 
 void FleetOptions::check(ConfigIssues& out) const {
   if (cars == 0) out.emplace_back("fleet.cars", "must be >= 1");
@@ -200,20 +186,7 @@ void FleetService::wire_breaker(std::size_t s) {
     if (to == fault::CircuitBreaker::State::Closed) {
       shards_[s].awaiting_recovery = true;
     }
-    if (tracer) {
-      util::Json args = util::Json::object();
-      args.set("from", util::Json(fault::to_string(from)));
-      args.set("to", util::Json(fault::to_string(to)));
-      args.set("t", util::Json(now));
-      args.set("shard", util::Json(s));
-      tracer->instant("fault.breaker", "fault", std::move(args));
-    }
-    if (metrics) {
-      metrics->counter("fault.breaker.transitions").inc();
-      metrics
-          ->counter(std::string("fault.breaker.to_") + fault::to_string(to))
-          .inc();
-    }
+    fault::record_transition(tracer, metrics, from, to, now, s);
   });
 }
 
@@ -317,7 +290,7 @@ ScaleSignals FleetService::sample_signals(double now) {
   s.live_shards = live;
   s.mean_queue_depth = live > 0 ? queue_sum / static_cast<double>(live) : 0.0;
   s.queue_budget = static_cast<double>(options_.queue_budget);
-  s.p99_s = p99(std::move(window_queued_));
+  s.p99_s = quantile(std::move(window_queued_), 0.99);
   s.shed_rate = window_arrivals_ > 0
                     ? static_cast<double>(window_sheds_) /
                           static_cast<double>(window_arrivals_)
@@ -564,10 +537,8 @@ void FleetService::shed_request(ServeRequest request, std::size_t shard) {
 
   // The car's own edge tier absorbs the overflow per-sample: degraded
   // latency amortization, never a dropped command.
-  const gpu::DeviceSpec& edge = gpu::device(options_.continuum.edge_device);
-  const double exec_s =
-      gpu::inference_latency_s(edge, scaled_flops(*snapshot->model), 1,
-                               core::pricing_precision(*snapshot->model));
+  const double exec_s = core::inference_s(
+      options_.continuum, options_.continuum.edge_device, *snapshot->model);
 
   ServeRecord record;
   record.id = request.id;
@@ -637,22 +608,19 @@ void FleetService::dispatch_batch(std::size_t s) {
   const auto snapshot = shard.registry->current();
 
   // One batched forward through the GEMM backbone — this is the whole
-  // point of the batcher. Run it before pricing: conv layers size
-  // themselves on the first forward, so flops_per_sample() is only
-  // meaningful afterwards.
+  // point of the batcher.
   std::vector<ml::Sample> samples;
   samples.reserve(n);
   for (ServeRequest& r : batch) samples.push_back(std::move(r.sample));
   std::vector<ml::Prediction> predictions(n);
   snapshot->model->predict_batch(samples.data(), n, predictions.data());
 
-  const std::uint64_t flops = scaled_flops(*snapshot->model);
-  const gpu::Precision precision = core::pricing_precision(*snapshot->model);
-  const Tier tier = choose_tier(s, now, n, flops, precision);
-  const gpu::DeviceSpec& spec =
-      gpu::device(tier == Tier::Cloud ? options_.continuum.cloud_device
-                                      : options_.continuum.edge_device);
-  const double exec_s = gpu::inference_latency_s(spec, flops, n, precision);
+  const Tier tier = choose_tier(s, now, n, *snapshot->model);
+  const double exec_s = core::inference_s(
+      options_.continuum,
+      tier == Tier::Cloud ? options_.continuum.cloud_device
+                          : options_.continuum.edge_device,
+      *snapshot->model, n);
   const double t_exec_done = now + exec_s;
 
   double rtt_s = 0.0;
@@ -739,8 +707,7 @@ void FleetService::dispatch_batch(std::size_t s) {
 }
 
 Tier FleetService::choose_tier(std::size_t s, double now, std::size_t batch,
-                               std::uint64_t flops,
-                               gpu::Precision precision) {
+                               const ml::DrivingModel& model) {
   Shard& shard = shards_[s];
   bool want_cloud = false;
   switch (options_.placement) {
@@ -751,15 +718,12 @@ Tier FleetService::choose_tier(std::size_t s, double now, std::size_t batch,
       want_cloud = true;
       break;
     case core::Placement::Hybrid: {
-      // Per-batch cost gate on the same perf model the continuum uses:
-      // ship only when RTT + cloud compute beats local compute.
-      const double edge_s = gpu::inference_latency_s(
-          gpu::device(options_.continuum.edge_device), flops, batch,
-          precision);
+      // Per-batch cost gate on the same price the continuum uses: ship
+      // only when RTT + cloud compute beats local compute.
+      const core::ContinuumOptions& c = options_.continuum;
+      const double edge_s = core::inference_s(c, c.edge_device, model, batch);
       const double cloud_s =
-          options_.continuum.network_rtt_s +
-          gpu::inference_latency_s(gpu::device(options_.continuum.cloud_device),
-                                   flops, batch, precision);
+          c.network_rtt_s + core::inference_s(c, c.cloud_device, model, batch);
       want_cloud = cloud_s < edge_s;
       break;
     }
@@ -880,14 +844,6 @@ ml::Sample FleetService::make_sample(util::Rng& rng,
     s.history.push_back(0.5f);
   }
   return s;
-}
-
-std::uint64_t FleetService::scaled_flops(const ml::DrivingModel& model) const {
-  // Call sites run a forward first: conv layers size lazily, so
-  // flops_per_sample() only counts the full stack after one pass.
-  return static_cast<std::uint64_t>(
-      static_cast<double>(model.flops_per_sample()) *
-      options_.continuum.flops_scale);
 }
 
 }  // namespace autolearn::serve

@@ -5,8 +5,8 @@
 // workers, each pinned to a testbed:: topology site and running its own
 // DynamicBatcher behind its own fault::CircuitBreaker. Each worker forms
 // batches (flush on cap or age-out) and executes each batch as ONE
-// predict_batch call through the GEMM backbone, priced by the
-// gpu::perf_model batched latency. Placement semantics mirror
+// predict_batch call through the GEMM backbone, priced by
+// core::inference_s at the batch's size. Placement semantics mirror
 // core::Continuum:
 //
 //   OnDevice  every batch runs on the edge device spec
@@ -206,7 +206,7 @@ class FleetService {
   void arm_deadline(std::size_t shard);
   void dispatch_batch(std::size_t shard);
   Tier choose_tier(std::size_t shard, double now, std::size_t batch,
-                   std::uint64_t flops, gpu::Precision precision);
+                   const ml::DrivingModel& model);
   bool site_reachable(std::size_t shard, double now) const;
   void on_shard_down(std::size_t shard);
   void on_shard_up(std::size_t shard);
@@ -214,7 +214,6 @@ class FleetService {
   void set_queue_gauge(std::size_t shard);
   ml::Sample make_sample(util::Rng& rng,
                          const ml::DrivingModel& model) const;
-  std::uint64_t scaled_flops(const ml::DrivingModel& model) const;
   /// One autoscaler tick's fleet snapshot; drains the sampling window.
   ScaleSignals sample_signals(double now);
   /// Admits shard slot `s` (readmit or fresh), levelling its model and

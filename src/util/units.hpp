@@ -3,6 +3,11 @@
 // meters and seconds throughout.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
+#include <stdexcept>
+#include <string>
+
 namespace autolearn::util {
 
 inline constexpr double kMetersPerInch = 0.0254;
@@ -18,5 +23,18 @@ constexpr double mph_to_mps(double mph) { return mph * 0.44704; }
 constexpr double kib(double n) { return n * 1024.0; }
 constexpr double mib(double n) { return n * 1024.0 * 1024.0; }
 constexpr double gib(double n) { return n * 1024.0 * 1024.0 * 1024.0; }
+
+/// Steps of a fixed-rate loop: whole periods `dt` in `duration_s`. Throws
+/// std::invalid_argument ("<what>: bad duration/dt") unless both are
+/// finite and positive and the count fits a std::size_t.
+inline std::size_t control_steps(double duration_s, double dt,
+                                 const std::string& what) {
+  const double steps = duration_s / dt;
+  if (!(std::isfinite(duration_s) && duration_s > 0 && std::isfinite(dt) &&
+        dt > 0 && steps < 0x1p64)) {
+    throw std::invalid_argument(what + ": bad duration/dt");
+  }
+  return static_cast<std::size_t>(steps);
+}
 
 }  // namespace autolearn::util

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "core/continuum.hpp"
 #include "core/pathway.hpp"
@@ -107,10 +108,32 @@ TEST(Continuum, PlacementNames) {
   EXPECT_STREQ(to_string(Placement::Hybrid), "hybrid");
 }
 
+/// A model that only reports its FLOPs: the latency arithmetic reads
+/// nothing else.
+class FlopsOnlyModel : public ml::DrivingModel {
+ public:
+  explicit FlopsOnlyModel(std::uint64_t flops) : flops_(flops) {}
+  ml::ModelType type() const override { return ml::ModelType::Linear; }
+  ml::Prediction predict(const ml::Sample&) override { return {}; }
+  double train_batch(const std::vector<const ml::Sample*>&) override {
+    return 0.0;
+  }
+  double eval_batch(const std::vector<const ml::Sample*>&) override {
+    return 0.0;
+  }
+  std::size_t num_parameters() override { return 0; }
+  std::uint64_t flops_per_sample() const override { return flops_; }
+  void save(std::ostream&) override {}
+  void load(std::istream&) override {}
+
+ private:
+  std::uint64_t flops_;
+};
+
 TEST(Continuum, LatencyModelShapes) {
   ContinuumOptions opt;
   opt.network_rtt_s = 0.05;
-  const std::uint64_t small = 2'000'000, big = 40'000'000;
+  const FlopsOnlyModel small(2'000'000), big(40'000'000);
   const double on_device =
       placement_latency_s(Placement::OnDevice, opt, small, big);
   const double cloud = placement_latency_s(Placement::Cloud, opt, small, big);
@@ -133,8 +156,9 @@ TEST(Continuum, CloudLatencyGrowsWithRtt) {
   ContinuumOptions a, b;
   a.network_rtt_s = 0.01;
   b.network_rtt_s = 0.3;
-  const double la = placement_latency_s(Placement::Cloud, a, 1e6, 1e7);
-  const double lb = placement_latency_s(Placement::Cloud, b, 1e6, 1e7);
+  const FlopsOnlyModel edge(1'000'000), cloud(10'000'000);
+  const double la = placement_latency_s(Placement::Cloud, a, edge, cloud);
+  const double lb = placement_latency_s(Placement::Cloud, b, edge, cloud);
   EXPECT_NEAR(lb - la, 0.29, 1e-9);
 }
 
@@ -179,6 +203,34 @@ TEST(Continuum, EvaluatePlacementRuns) {
         evaluate_placement(t, *main_model, *edge_model, p, copt, eopt);
     EXPECT_EQ(r.steps, 100u) << to_string(p);
   }
+}
+
+TEST(Continuum, EvaluatePlacementPricesAFreshModel) {
+  // A freshly built edge model has run no forward when the placement
+  // prices it: every command still pays its full FLOPs, the one price
+  // core::inference_s gives, and a forward does not change that price.
+  const track::Track t = track::Track::paper_oval();
+  ml::ModelConfig cfg;
+  auto main_model = ml::make_model(ml::ModelType::Linear, cfg);
+  auto edge_model = ml::make_model(ml::ModelType::Inferred, cfg);
+  ContinuumOptions copt;
+  copt.flops_scale = 1500.0;
+  const double price = inference_s(copt, copt.edge_device, *edge_model);
+  // 41,032 FLOPs x 1500 on the Pi: 0.350 ms overhead + 9.118 ms compute.
+  EXPECT_NEAR(price, 9.468e-3, 1e-6);
+
+  obs::MetricsRegistry metrics;
+  copt.metrics = &metrics;
+  eval::EvalOptions eopt;
+  eopt.duration_s = 1.0;
+  evaluate_placement(t, *main_model, *edge_model, Placement::OnDevice, copt,
+                     eopt);
+  const obs::Histogram* latency = metrics.find_histogram("eval.cmd_latency_s");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), 20u);
+  EXPECT_EQ(latency->min(), price);
+  EXPECT_EQ(latency->max(), price);
+  EXPECT_EQ(inference_s(copt, copt.edge_device, *edge_model), price);
 }
 
 TEST(Continuum, OnDeviceInt8ModelIsPricedAtItsInt8Latency) {
@@ -266,6 +318,17 @@ TEST(Twin, Validation) {
   bad = TwinOptions{};
   bad.noise_scale = -1;
   EXPECT_THROW(compare_sim_to_real(t, pilot, bad), std::invalid_argument);
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), -1.0}) {
+    bad = TwinOptions{};
+    bad.duration_s = v;
+    EXPECT_THROW(compare_sim_to_real(t, pilot, bad), std::invalid_argument)
+        << "duration_s " << v;
+    bad = TwinOptions{};
+    bad.dt = v;
+    EXPECT_THROW(compare_sim_to_real(t, pilot, bad), std::invalid_argument)
+        << "dt " << v;
+  }
 }
 
 TEST(Twin, ReportsBothRunsDistances) {

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "data/collector.hpp"
 #include "data/dataset.hpp"
@@ -280,6 +281,21 @@ TEST(Collector, RejectsBadOptions) {
   opt.duration_s = 0;
   EXPECT_THROW(collect_session(t, DataPath::Simulator, opt, dir.path() / "x"),
                std::invalid_argument);
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), -1.0}) {
+    opt = CollectOptions{};
+    opt.duration_s = v;
+    EXPECT_THROW(
+        collect_session(t, DataPath::Simulator, opt, dir.path() / "x"),
+        std::invalid_argument)
+        << "duration_s " << v;
+    opt = CollectOptions{};
+    opt.dt = v;
+    EXPECT_THROW(
+        collect_session(t, DataPath::Simulator, opt, dir.path() / "x"),
+        std::invalid_argument)
+        << "dt " << v;
+  }
 }
 
 // --- tubclean -------------------------------------------------------------------

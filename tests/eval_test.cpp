@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "data/collector.hpp"
 #include "data/dataset.hpp"
 #include "data/tub.hpp"
 #include "eval/evaluator.hpp"
 #include "eval/pilot.hpp"
-#include "gpu/perf_model.hpp"
 #include "ml/trainer.hpp"
 #include "track/track.hpp"
 
@@ -59,6 +60,17 @@ TEST(Evaluator, ValidatesOptions) {
   EvalOptions opt;
   opt.duration_s = 0;
   EXPECT_THROW(run_evaluation(t, p, opt), std::invalid_argument);
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), -1.0}) {
+    opt = EvalOptions{};
+    opt.duration_s = v;
+    EXPECT_THROW(run_evaluation(t, p, opt), std::invalid_argument)
+        << "duration_s " << v;
+    opt = EvalOptions{};
+    opt.dt = v;
+    EXPECT_THROW(run_evaluation(t, p, opt), std::invalid_argument)
+        << "dt " << v;
+  }
 }
 
 TEST(Evaluator, StraightPilotLeavesTrackAndIsReset) {
@@ -110,31 +122,6 @@ TEST(Evaluator, LatencyHurtsDriving) {
   // More errors or less distance — either signals degradation.
   EXPECT_TRUE(r_slow.errors > r_fast.errors ||
               r_slow.distance_m < r_fast.distance_m);
-}
-
-TEST(Evaluator, PerfModelPathMatchesFixedLatencyAtBatchOne) {
-  // Command-latency accounting through the batched perf-model path: at
-  // batch 1 it must be indistinguishable from folding the same inference
-  // latency into command_latency_s by hand.
-  const track::Track t = track::Track::paper_oval();
-  CentroidPilot pilot;
-  const gpu::DeviceSpec& pi = gpu::device("RaspberryPi4");
-  const std::uint64_t flops = 20'000'000;
-
-  EvalOptions modeled;
-  modeled.duration_s = 20.0;
-  modeled.infer_device = &pi;
-  modeled.infer_flops = flops;
-
-  EvalOptions legacy;
-  legacy.duration_s = 20.0;
-  legacy.command_latency_s = gpu::inference_latency_s(pi, flops);
-
-  const EvalResult a = run_evaluation(t, pilot, modeled);
-  const EvalResult b = run_evaluation(t, pilot, legacy);
-  EXPECT_EQ(a.errors, b.errors);
-  EXPECT_EQ(a.steps, b.steps);
-  EXPECT_DOUBLE_EQ(a.distance_m, b.distance_m);
 }
 
 // End-to-end: collect -> train -> closed-loop drive. The trained model

@@ -206,7 +206,6 @@ TEST(Conv2D, OutputShape) {
   Conv2D c(1, 8, 3, 2, rng);
   const Tensor y = c.forward(Tensor({2, 1, 24, 32}), false);
   EXPECT_EQ(y.shape(), (std::vector<std::size_t>{2, 8, 11, 15}));
-  EXPECT_GT(c.flops_per_sample(), 0u);
 }
 
 TEST(Conv2D, KnownSmallCase) {

@@ -2,9 +2,11 @@
 // predicts: for every model in the six-type zoo, fp32 AND int8, each
 // Sequential compiled as a standalone CompiledNet must reproduce
 // Sequential::forward(x, false) BITWISE at 1 row, at a ragged row count
-// and at the full cap. Plus lazy compilation, over-cap chunking, the typed
-// compile-failure contract (PlanError, never a crash) and the
-// arena-sharing accounting. Selected by `ctest -L plan`.
+// and at the full cap, and count the FLOPs of one row as a test-side sum
+// over the layers' geometry does (tests/flops_reference.hpp). Plus lazy
+// compilation, over-cap chunking, the typed compile-failure contract
+// (PlanError, never a crash) and the arena-sharing accounting. Selected by
+// `ctest -L plan`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "camera/image.hpp"
+#include "flops_reference.hpp"
 #include "ml/conv.hpp"
 #include "ml/driving_model.hpp"
 #include "ml/gemm.hpp"
@@ -83,7 +86,7 @@ std::vector<NetInput> net_inputs(ModelType type, const ModelConfig& cfg,
 
 /// Compiles every net of `model` on its own and checks it against the
 /// layer walk on the same random input, bit for bit, at 1 row, 5 rows and
-/// the net's row cap.
+/// the net's row cap, and its FLOPs against the test-side count.
 void expect_nets_match_forward(DrivingModel& model, ModelType type,
                                const ModelConfig& cfg) {
   const std::vector<Sequential*> nets = model.mutable_nets();
@@ -110,6 +113,8 @@ void expect_nets_match_forward(DrivingModel& model, ModelType type,
             << "net " << k << " rows " << rows << " elem " << i;
       }
     }
+    EXPECT_EQ(plan.stats().flops, reference::net_flops(*nets[k], in.row_shape))
+        << "net " << k;
   }
 }
 
@@ -397,7 +402,8 @@ class PlanConvShapes
 };
 
 // Each net compiled alone must reproduce Sequential::forward bit for bit at
-// 1 row, 5 rows and the cap, whatever the pool's worker count.
+// 1 row, 5 rows and the cap, whatever the pool's worker count, and count
+// the FLOPs of one row as the test-side sum does.
 TEST_P(PlanConvShapes, BitwiseMatchesSequentialForward) {
   const auto [case_index, workers] = GetParam();
   const ConvNetCase c = conv_net_cases()[case_index];
@@ -426,6 +432,7 @@ TEST_P(PlanConvShapes, BitwiseMatchesSequentialForward) {
           << c.name << " rows " << rows << " elem " << i;
     }
   }
+  EXPECT_EQ(plan.stats().flops, reference::net_flops(net, c.row_shape));
 }
 
 INSTANTIATE_TEST_SUITE_P(

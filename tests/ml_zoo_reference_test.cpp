@@ -2,12 +2,15 @@
 // type is one NetModel: one staging, one join of encoder rows and history
 // into the head, one training step and one plan run. This suite holds all
 // six types to a test-side copy of the per-type composition they were
-// written with before they shared that code: predict_batch, train_batch,
-// eval_batch and flops_per_sample, bit for bit. The copy drives the
-// model's own nets (mutable_nets) through Sequential::forward/backward, so
-// it sees exactly what the model adds on top of its layers: which frames
-// it stages and how, where the history goes, how the head's gradient is
-// split for the encoder, the loss, the decode and the Adam step.
+// written with before they shared that code: predict_batch, train_batch
+// and eval_batch bit for bit, and flops_per_sample to a test-side sum over
+// each layer's geometry (tests/flops_reference.hpp) fresh, after a
+// predict, after a bundle round trip and on the int8 twin. The copy drives
+// the model's own nets (mutable_nets) through Sequential::forward and
+// backward, so it sees exactly what the model adds on top of its layers:
+// which frames it stages and how, where the history goes, how the head's
+// gradient is split for the encoder, the loss, the decode and the Adam
+// step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,9 +22,11 @@
 #include <utility>
 #include <vector>
 
+#include "flops_reference.hpp"
 #include "ml/driving_model.hpp"
 #include "ml/loss.hpp"
 #include "ml/optimizer.hpp"
+#include "ml/quant_model.hpp"
 #include "ml/sequential.hpp"
 #include "util/rng.hpp"
 
@@ -280,16 +285,74 @@ TEST_P(ZooReference, TrainAndEvalStepsMatchTheComposedNets) {
             bits(reference_loss(t, cfg, y, val).first));
 }
 
+/// Per-row input shapes of a type's nets, in mutable_nets() order: one
+/// frame (the 3d model's stack), then memory's features and history or
+/// the rnn's [T, F] sequence of encoder rows.
+std::vector<std::vector<std::size_t>> net_rows(ModelType t,
+                                               const ModelConfig& cfg) {
+  const auto conv = [](std::size_t d) { return Conv2D::out_dim(d, 3, 2); };
+  const std::size_t features =
+      32 * conv(conv(conv(cfg.img_h))) * conv(conv(conv(cfg.img_w)));
+  switch (t) {
+    case ModelType::Conv3d:
+      return {{1, cfg.seq_len, cfg.img_h, cfg.img_w}};
+    case ModelType::Memory:
+      return {{1, cfg.img_h, cfg.img_w},
+              {features + 2 * cfg.history_len}};
+    case ModelType::Rnn:
+      return {{1, cfg.img_h, cfg.img_w}, {cfg.seq_len, features}};
+    default:
+      return {{1, cfg.img_h, cfg.img_w}};
+  }
+}
+
+/// rows_of(t) encoder rows and one head row per sample, each summed over
+/// its layers' geometry by the test-side count.
+std::uint64_t reference_flops(ModelType t, const ModelConfig& cfg,
+                              const std::vector<Sequential*>& nets) {
+  const auto rows = net_rows(t, cfg);
+  std::uint64_t total =
+      rows_of(t, cfg) * reference::net_flops(*nets[0], rows[0]);
+  if (nets.size() > 1) total += reference::net_flops(*nets[1], rows[1]);
+  return total;
+}
+
+/// Forward FLOPs per sample of each type at the default frame, sequence,
+/// history and bin sizes.
+std::uint64_t known_flops(ModelType t) {
+  switch (t) {
+    case ModelType::Linear: return 184'528;
+    case ModelType::Memory: return 185'296;
+    case ModelType::Conv3d: return 292'288;
+    case ModelType::Categorical: return 188'752;
+    case ModelType::Inferred: return 41'032;
+    case ModelType::Rnn: return 651'248;
+  }
+  return 0;
+}
+
+// The count is the model's from construction: it does not wait for a
+// forward, and a bundle load or an int8 swap keeps it.
 TEST_P(ZooReference, FlopsCountEveryEncoderRowAndTheHead) {
   const ModelType t = GetParam();
   const ModelConfig cfg = reference_config();
+  const std::uint64_t want = known_flops(t);
   auto model = make_model(t, cfg);
-  model->predict(noise_samples(1, cfg, 5)[0]);  // sizes the conv FLOPs
-  const std::vector<Sequential*> nets = model->mutable_nets();
-  const std::uint64_t encoder = nets[0]->flops_per_sample();
-  const std::uint64_t head = nets.size() > 1 ? nets[1]->flops_per_sample() : 0;
-  EXPECT_GT(encoder, 0u);
-  EXPECT_EQ(model->flops_per_sample(), rows_of(t, cfg) * encoder + head);
+  EXPECT_EQ(model->flops_per_sample(), want) << "fresh";
+  EXPECT_EQ(reference_flops(t, cfg, model->mutable_nets()), want);
+
+  const auto samples = noise_samples(4, cfg, 5);
+  model->predict(samples[0]);
+  EXPECT_EQ(model->flops_per_sample(), want) << "after a predict";
+
+  std::stringstream bundle;
+  save_model_bundle(bundle, *model, cfg);
+  const LoadedModelBundle loaded = load_model_bundle(bundle);
+  EXPECT_EQ(loaded.model->flops_per_sample(), want) << "bundle-loaded";
+
+  const auto int8 = quantize_model(*model, cfg, samples);
+  EXPECT_EQ(int8->flops_per_sample(), want) << "int8 twin";
+  EXPECT_EQ(reference_flops(t, cfg, int8->inner().mutable_nets()), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(

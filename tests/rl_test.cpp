@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -28,6 +29,20 @@ TEST(QLearning, ConfigValidation) {
   bad = QConfig{};
   bad.gamma = 1.0;
   EXPECT_THROW(QLearningPilot(t, bad, util::Rng(1)), std::invalid_argument);
+  const QLearningPilot good(t, QConfig{}, util::Rng(1));
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), -1.0}) {
+    bad = QConfig{};
+    bad.episode_s = v;
+    EXPECT_THROW(QLearningPilot(t, bad, util::Rng(1)), std::invalid_argument)
+        << "episode_s " << v;
+    bad = QConfig{};
+    bad.dt = v;
+    EXPECT_THROW(QLearningPilot(t, bad, util::Rng(1)), std::invalid_argument)
+        << "dt " << v;
+    EXPECT_THROW(good.evaluate(v), std::invalid_argument)
+        << "evaluate duration_s " << v;
+  }
 }
 
 TEST(QLearning, StateSpaceSizedByBins) {
