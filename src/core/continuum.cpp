@@ -18,8 +18,14 @@ const char* to_string(Placement p) {
 
 double inference_s(const ContinuumOptions& options, const std::string& device,
                    const ml::DrivingModel& model, std::size_t batch) {
-  const auto flops = static_cast<std::uint64_t>(
-      static_cast<double>(model.flops_per_sample()) * options.flops_scale);
+  const double scaled =
+      static_cast<double>(model.flops_per_sample()) * options.flops_scale;
+  // Negated so NaN fails too; 2^64 is the first double past uint64_t.
+  if (!(scaled >= 0.0 && scaled < 0x1p64)) {
+    throw std::invalid_argument(
+        "inference_s: FLOPs x flops_scale must be in [0, 2^64)");
+  }
+  const auto flops = static_cast<std::uint64_t>(scaled);
   const gpu::Precision precision = model.precision() == ml::Precision::Int8
                                        ? gpu::Precision::Int8
                                        : gpu::Precision::Fp32;

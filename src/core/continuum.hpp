@@ -67,7 +67,8 @@ struct ContinuumOptions {
 
 /// The one price of an inference: seconds `batch` samples of `model` take
 /// on the named device, for its FLOPs times options.flops_scale at its own
-/// precision (int8 at the device's int8 throughput).
+/// precision (int8 at the device's int8 throughput). Throws
+/// std::invalid_argument unless FLOPs x flops_scale is in [0, 2^64).
 double inference_s(const ContinuumOptions& options, const std::string& device,
                    const ml::DrivingModel& model, std::size_t batch = 1);
 

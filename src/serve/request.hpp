@@ -33,8 +33,8 @@ struct ServeRequest {
 };
 
 /// A finished request (completion order). Shed requests never queued: the
-/// car's own edge tier answered per-sample, so t_dispatch == t_arrive and
-/// batch == 1.
+/// car's own edge tier answered per-sample (t_dispatch == t_arrive, batch
+/// == 1), though the host predicts held sheds in batches (FleetService).
 struct ServeRecord {
   std::uint64_t id = 0;
   std::size_t car = 0;

@@ -21,6 +21,9 @@ void FleetOptions::check(ConfigIssues& out) const {
   if (queue_budget == 0) {
     out.emplace_back("fleet.queue_budget", "must be >= 1");
   }
+  if (!std::isfinite(continuum.flops_scale) || continuum.flops_scale < 0.0) {
+    out.emplace_back("fleet.continuum.flops_scale", "must be finite and >= 0");
+  }
   if (img_w == 0 || img_h == 0) {
     out.emplace_back("fleet.img", "zero image dimension");
   }
@@ -532,11 +535,17 @@ void FleetService::shed_request(ServeRequest request, std::size_t shard) {
   ModelRegistry* registry =
       shard == kNoShard ? shards_[0].registry : shards_[shard].registry;
   const auto snapshot = registry->current();
-  ml::Prediction prediction;
-  snapshot->model->predict_batch(&request.sample, 1, &prediction);
-
-  // The car's own edge tier absorbs the overflow per-sample: degraded
-  // latency amortization, never a dropped command.
+  // The car's own edge tier answers per-sample, never dropping a command;
+  // the host holds the sample for one predict_batch with the sheds around
+  // it and reads the answer when the shed is delivered (see HeldSheds).
+  if (held_ && held_->model != snapshot->model) run_held_sheds();
+  if (!held_) {
+    held_ = std::make_shared<HeldSheds>();
+    held_->model = snapshot->model;
+    held_->samples.reserve(options_.batcher.max_batch);
+  }
+  const std::size_t row = held_->samples.size();
+  held_->samples.push_back(std::move(request.sample));
   const double exec_s = core::inference_s(
       options_.continuum, options_.continuum.edge_device, *snapshot->model);
 
@@ -552,7 +561,6 @@ void FleetService::shed_request(ServeRequest request, std::size_t shard) {
   record.t_arrive = request.t_arrive;
   record.t_dispatch = now;
   record.t_done = now + exec_s;
-  record.prediction = prediction;
 
   obs::MetricsRegistry* metrics = options_.continuum.metrics;
   if (metrics) metrics->counter("serve.shed").inc();
@@ -573,7 +581,23 @@ void FleetService::shed_request(ServeRequest request, std::size_t shard) {
     tracer->complete("serve.request", "serve", record.t_arrive, record.t_done,
                      std::move(span));
   }
-  queue_.schedule_at(record.t_done, [this, record] { deliver(record); });
+  queue_.schedule_at(record.t_done, [this, record, held = held_,
+                                     row]() mutable {
+    // Predictions stay empty only while the batch is still the held one.
+    if (held->predictions.empty()) run_held_sheds();
+    record.prediction = held->predictions[row];
+    deliver(std::move(record));
+  });
+  if (held_->samples.size() == options_.batcher.max_batch) run_held_sheds();
+}
+
+void FleetService::run_held_sheds() {
+  HeldSheds& held = *held_;
+  held.predictions.resize(held.samples.size());
+  held.model->predict_batch(held.samples.data(), held.samples.size(),
+                            held.predictions.data());
+  held.samples = {};  // rows still in flight need only their predictions
+  held_.reset();
 }
 
 void FleetService::try_dispatch(std::size_t s) {
@@ -663,13 +687,14 @@ void FleetService::dispatch_batch(std::size_t s) {
                      std::move(args));
   }
 
+  // One event delivers all n: their own n events would run back to back.
+  std::vector<ServeRecord> records(n);
   for (std::size_t i = 0; i < n; ++i) {
     const ServeRequest& r = batch[i];
-    ServeRecord record;
+    ServeRecord& record = records[i];
     record.id = r.id;
     record.car = r.car;
     record.shard = s;
-    record.shed = false;
     record.rerouted = r.rerouted;
     record.tier = tier;
     record.model_version = snapshot->version;
@@ -696,8 +721,10 @@ void FleetService::dispatch_batch(std::size_t s) {
       tracer->complete("serve.request", "serve", record.t_arrive,
                        record.t_done, std::move(span));
     }
-    queue_.schedule_at(t_done, [this, record] { deliver(record); });
   }
+  queue_.schedule_at(t_done, [this, records = std::move(records)]() mutable {
+    for (ServeRecord& record : records) deliver(std::move(record));
+  });
 
   shard.busy = true;
   queue_.schedule_at(t_exec_done, [this, s] {

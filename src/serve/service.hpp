@@ -41,11 +41,14 @@
 // Admission control: when a car's shard already holds queue_budget
 // requests — or no shard is alive at all — the arrival is shed and the
 // car's own edge tier answers it per-sample (graceful degradation, never
-// an error). Everything runs on one util::EventQueue with per-car and
-// per-shard Rng splits, so a seed pins the arrival schedule, the batch
-// boundaries, the failover AND autoscale timelines, and the whole
-// ServeReport bit-for-bit — including runs with chaos-injected site
-// partitions or load spikes.
+// an error), priced, recorded and traced as a batch of one on the edge
+// spec. The host predicts held sheds in batches of up to max_batch, run
+// when full, when a shed for another model arrives, or when a row is
+// first delivered; the plan is batch-invariant, so no answer changes.
+// Everything runs on one util::EventQueue with per-car and per-shard Rng
+// splits, so a seed pins the arrival schedule, the batch boundaries, the
+// failover AND autoscale timelines, and the whole ServeReport bit-for-bit
+// — including runs with chaos-injected site partitions or load spikes.
 #pragma once
 
 #include <cstdint>
@@ -182,6 +185,14 @@ class FleetService {
   std::size_t active_shards() const { return active_shards_; }
 
  private:
+  /// Sheds held for one predict of their model; predictions stay empty
+  /// until it runs. Each shed's deliver event shares it and reads its row.
+  struct HeldSheds {
+    std::shared_ptr<ml::DrivingModel> model;
+    std::vector<ml::Sample> samples;
+    std::vector<ml::Prediction> predictions;
+  };
+
   struct Shard {
     std::string site;
     ModelRegistry* registry = nullptr;
@@ -202,6 +213,7 @@ class FleetService {
   void schedule_arrival(std::size_t car);
   void on_arrival(std::size_t car);
   void shed_request(ServeRequest request, std::size_t shard);
+  void run_held_sheds();
   void try_dispatch(std::size_t shard);
   void arm_deadline(std::size_t shard);
   void dispatch_batch(std::size_t shard);
@@ -240,6 +252,7 @@ class FleetService {
   std::vector<double> window_queued_;
   std::size_t window_sheds_ = 0;
   std::size_t window_arrivals_ = 0;
+  std::shared_ptr<HeldSheds> held_;  // null when no shed is held
 
   std::uint64_t next_id_ = 1;
   bool draining_ = false;

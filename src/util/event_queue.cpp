@@ -1,56 +1,30 @@
 #include "util/event_queue.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace autolearn::util {
 
-std::uint64_t EventQueue::schedule_at(SimTime t, Callback cb) {
-  if (t < now_) {
+void EventQueue::schedule_at(SimTime t, Callback cb) {
+  // Negated so a NaN time, which compares false both ways, is refused too.
+  if (!(t >= now_)) {
     throw std::invalid_argument("EventQueue: cannot schedule in the past");
   }
-  const std::uint64_t id = next_id_++;
-  events_.push(Event{t, next_seq_++, id, std::move(cb)});
-  ++live_;
-  return id;
+  events_.push(Event{t, next_seq_++, std::move(cb)});
 }
 
-std::uint64_t EventQueue::schedule_in(SimTime delay, Callback cb) {
-  return schedule_at(now_ + delay, std::move(cb));
-}
-
-bool EventQueue::cancel(std::uint64_t id) {
-  if (id == 0 || id >= next_id_) return false;
-  if (is_cancelled(id)) return false;
-  // We cannot remove from the middle of a priority_queue; remember the id
-  // and skip the event when it surfaces. We only know the id is pending if
-  // live bookkeeping says something is; conservatively record it and verify
-  // on pop. To keep cancel() truthful we scan: ids are monotonically
-  // increasing and queues are small in practice.
-  cancelled_.push_back(id);
-  if (live_ > 0) --live_;
-  return true;
-}
-
-bool EventQueue::is_cancelled(std::uint64_t id) const {
-  return std::find(cancelled_.begin(), cancelled_.end(), id) !=
-         cancelled_.end();
+void EventQueue::schedule_in(SimTime delay, Callback cb) {
+  schedule_at(now_ + delay, std::move(cb));
 }
 
 bool EventQueue::step() {
-  while (!events_.empty()) {
-    Event ev = events_.top();
-    events_.pop();
-    if (is_cancelled(ev.id)) {
-      cancelled_.erase(std::find(cancelled_.begin(), cancelled_.end(), ev.id));
-      continue;
-    }
-    --live_;
-    now_ = ev.time;
-    ev.cb();
-    return true;
-  }
-  return false;
+  if (events_.empty()) return false;
+  // Move the callback out rather than copy it: the heap orders by time and
+  // seq alone, which the move leaves in place for pop() to sift by.
+  Event ev = std::move(const_cast<Event&>(events_.top()));
+  events_.pop();
+  now_ = ev.time;
+  ev.cb();
+  return true;
 }
 
 std::size_t EventQueue::run(std::size_t limit) {
@@ -61,30 +35,15 @@ std::size_t EventQueue::run(std::size_t limit) {
 
 std::size_t EventQueue::run_until(SimTime t) {
   std::size_t n = 0;
-  while (!events_.empty()) {
-    // Peek past cancelled entries.
-    while (!events_.empty() && is_cancelled(events_.top().id)) {
-      const auto id = events_.top().id;
-      events_.pop();
-      cancelled_.erase(std::find(cancelled_.begin(), cancelled_.end(), id));
-    }
-    if (events_.empty() || events_.top().time > t) break;
-    if (step()) ++n;
+  while (!events_.empty() && events_.top().time <= t) {
+    step();
+    ++n;
   }
   if (t > now_) now_ = t;
   return n;
 }
 
-bool EventQueue::empty() const { return live_ == 0; }
-
-std::size_t EventQueue::pending() const { return live_; }
-
 SimTime EventQueue::next_time() const {
-  // Skip cancelled heads without mutating (const): fall back to scanning a
-  // copy is overkill; cancelled heads are popped lazily in step()/run_until,
-  // so we only need the first live entry. priority_queue does not expose
-  // iteration, so tolerate a cancelled head by returning its time, which is
-  // still a lower bound on the next live event.
   if (events_.empty()) throw std::logic_error("EventQueue: empty");
   return events_.top().time;
 }

@@ -233,6 +233,23 @@ TEST(Continuum, EvaluatePlacementPricesAFreshModel) {
   EXPECT_EQ(inference_s(copt, copt.edge_device, *edge_model), price);
 }
 
+TEST(Continuum, InferencePriceRefusesAScaleOutsideTheCastRange) {
+  // FLOPs x flops_scale becomes a uint64_t FLOP count: a NaN, negative,
+  // infinite or too large product has no such count and is refused.
+  ml::ModelConfig cfg;
+  auto model = ml::make_model(ml::ModelType::Linear, cfg);
+  ContinuumOptions copt;
+  for (const double scale : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                             std::numeric_limits<double>::infinity(), 1e300}) {
+    copt.flops_scale = scale;
+    EXPECT_THROW(inference_s(copt, copt.edge_device, *model),
+                 std::invalid_argument)
+        << scale;
+  }
+  copt.flops_scale = 0.0;
+  EXPECT_GT(inference_s(copt, copt.edge_device, *model), 0.0);
+}
+
 TEST(Continuum, OnDeviceInt8ModelIsPricedAtItsInt8Latency) {
   // An int8 edge model is billed at the device's int8 throughput on its
   // full FLOPs, conv layers included, though it has not run a forward of

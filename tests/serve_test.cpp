@@ -5,6 +5,11 @@
 // worker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 
@@ -228,15 +233,20 @@ TEST(FleetService, OnDeviceNeverTouchesTheCloud) {
   }
 }
 
-TEST(FleetService, OverloadShedsToEdgePerSample) {
+// FLOPs scaled far past the arrival stream's service rate, cap 4: with
+// the worker saturated, a budget of 4 sheds about half the requests.
+FleetOptions saturated_fleet() {
   FleetOptions opt = small_cloud_fleet();
-  // Scale FLOPs far past the arrival stream's service rate; with the
-  // worker saturated, a tiny budget forces admission control to shed.
   opt.continuum.flops_scale = 30000.0;
   opt.mean_interarrival_s = 0.002;
   opt.duration_s = 0.3;
-  opt.queue_budget = 4;
   opt.batcher.max_batch = 4;
+  return opt;
+}
+
+TEST(FleetService, OverloadShedsToEdgePerSample) {
+  FleetOptions opt = saturated_fleet();
+  opt.queue_budget = 4;
   const FleetOut out = run_fleet(opt);
   const ServeReport& r = out.report;
   EXPECT_GT(r.shed, 0u);
@@ -249,6 +259,70 @@ TEST(FleetService, OverloadShedsToEdgePerSample) {
       EXPECT_GT(rec.total_s(), 0.0);
     }
   }
+  // Records reach the report in completion order: every batch and every
+  // shed is delivered at its own t_done, with the sheds between batches.
+  EXPECT_TRUE(std::is_sorted(r.records.begin(), r.records.end(),
+                             [](const ServeRecord& a, const ServeRecord& b) {
+                               return a.t_done < b.t_done;
+                             }));
+}
+
+TEST(FleetService, ShedAnswersMatchTheQueuedPathRequestForRequest) {
+  // Each car draws its arrivals and samples from its own Rng split, so the
+  // queue budget changes which requests are shed, not what they carry. The
+  // host predicts held sheds in batches; a shed's answer must still be the
+  // one the queued path gives the same request on the same model. The swap
+  // at 0.12 s lands while sheds of the first model are held.
+  FleetOptions queued = saturated_fleet();
+  queued.queue_budget = 1000000;
+  FleetOptions shedding = saturated_fleet();
+  shedding.queue_budget = 4;
+  const FleetOut a = run_fleet(queued, /*model_seed=*/42, /*swap_at_s=*/0.12);
+  const FleetOut b =
+      run_fleet(shedding, /*model_seed=*/42, /*swap_at_s=*/0.12);
+  ASSERT_EQ(a.report.shed, 0u);
+  ASSERT_GT(b.report.shed, 0u);
+  ASSERT_EQ(a.report.records.size(), b.report.records.size());
+
+  std::map<std::uint64_t, const ServeRecord*> queued_by_id;
+  for (const ServeRecord& rec : a.report.records) queued_by_id[rec.id] = &rec;
+  std::map<std::uint64_t, std::size_t> compared_by_version;
+  for (const ServeRecord& rec : b.report.records) {
+    const auto it = queued_by_id.find(rec.id);
+    ASSERT_NE(it, queued_by_id.end()) << "request " << rec.id;
+    const ServeRecord& ref = *it->second;
+    EXPECT_EQ(rec.car, ref.car) << "request " << rec.id;
+    EXPECT_EQ(rec.t_arrive, ref.t_arrive) << "request " << rec.id;
+    if (!rec.shed || rec.model_version != ref.model_version) continue;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rec.prediction.steering),
+              std::bit_cast<std::uint64_t>(ref.prediction.steering))
+        << "request " << rec.id;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rec.prediction.throttle),
+              std::bit_cast<std::uint64_t>(ref.prediction.throttle))
+        << "request " << rec.id;
+    ++compared_by_version[rec.model_version];
+  }
+  // Sheds answered by both models were held to the queued path.
+  EXPECT_EQ(compared_by_version.size(), 2u);
+}
+
+TEST(FleetService, ShedRequestsShareHostPredicts) {
+  // Every request is predicted exactly once, and held sheds share plan
+  // runs: fewer than one run per dispatched batch plus one per shed.
+  util::EventQueue queue;
+  obs::MetricsRegistry metrics;
+  ModelRegistry registry;
+  registry.instrument(nullptr, &metrics);
+  registry.publish(make_shared_model());
+  FleetOptions opt = saturated_fleet();
+  opt.queue_budget = 4;
+  opt.continuum.metrics = &metrics;
+  FleetService service(queue, registry, opt);
+  const ServeReport r = service.run();
+  ASSERT_GT(r.shed, 0u);
+  EXPECT_EQ(metrics.counter_value("serve.plan.exec.rows"), r.requests);
+  EXPECT_LT(metrics.counter_value("serve.plan.exec.batches"),
+            r.batches + r.shed);
 }
 
 TEST(FleetService, BreakerTripsAndFailsOverToEdge) {
@@ -368,6 +442,14 @@ TEST(FleetService, ConfigErrorsNameTheOffendingField) {
   opt = small_cloud_fleet();
   opt.batcher.max_batch = 0;
   EXPECT_EQ(field_of(opt), "batcher.max_batch");
+  // Every batch and shed is priced at FLOPs x flops_scale; a scale with no
+  // price fails at construction, not mid-run.
+  for (const double scale : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                             std::numeric_limits<double>::infinity()}) {
+    opt = small_cloud_fleet();
+    opt.continuum.flops_scale = scale;
+    EXPECT_EQ(field_of(opt), "fleet.continuum.flops_scale") << scale;
+  }
   // The typed error still reads as the message the old tests pinned.
   try {
     opt = small_cloud_fleet();

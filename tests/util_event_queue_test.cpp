@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -51,6 +52,13 @@ TEST(EventQueue, SchedulingInThePastThrows) {
   q.schedule_at(5.0, [] {});
   q.run();
   EXPECT_THROW(q.schedule_at(4.0, [] {}), std::invalid_argument);
+  // A NaN time compares false against now() both ways; it must not slip
+  // into the heap and run with now() reading NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(q.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_in(nan, [] {}), std::invalid_argument);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.now(), 5.0);
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundaryInclusive) {
@@ -70,29 +78,6 @@ TEST(EventQueue, RunUntilAdvancesClockWithoutEvents) {
   EventQueue q;
   q.run_until(7.5);
   EXPECT_EQ(q.now(), 7.5);
-}
-
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const auto id = q.schedule_at(1.0, [&] { ran = true; });
-  EXPECT_TRUE(q.cancel(id));
-  q.run();
-  EXPECT_FALSE(ran);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, CancelUnknownIdReturnsFalse) {
-  EventQueue q;
-  EXPECT_FALSE(q.cancel(9999));
-  EXPECT_FALSE(q.cancel(0));
-}
-
-TEST(EventQueue, DoubleCancelReturnsFalse) {
-  EventQueue q;
-  const auto id = q.schedule_at(1.0, [] {});
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));
 }
 
 TEST(EventQueue, StepRunsExactlyOne) {
@@ -143,17 +128,6 @@ TEST(EventQueue, NextTimeReportsEarliest) {
 TEST(EventQueue, NextTimeOnEmptyThrows) {
   EventQueue q;
   EXPECT_THROW(q.next_time(), std::logic_error);
-}
-
-TEST(EventQueue, CancelledEventSkippedInRunUntil) {
-  EventQueue q;
-  bool a = false, b = false;
-  const auto id = q.schedule_at(1.0, [&] { a = true; });
-  q.schedule_at(2.0, [&] { b = true; });
-  q.cancel(id);
-  q.run_until(3.0);
-  EXPECT_FALSE(a);
-  EXPECT_TRUE(b);
 }
 
 // Property: any random schedule executes in nondecreasing time order.
